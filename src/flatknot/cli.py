@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .curve import gauss_from_curve, closure_report
 from .diagram import detect_crossings, enumerate_cycles, gmre, mre, resistance_energy
@@ -31,6 +28,7 @@ from .jsonio import (
     curve_to_json,
     diagram_from_json,
     dump_json,
+    energy_report_json,
     load_json,
     write_trace_jsonl,
 )
@@ -47,18 +45,6 @@ EXIT_EXPLOSION = 4
 EXIT_FORBIDDEN = 5
 
 _FUNCTIONALS = {"x": F_X, "x^2": F_X2, "x2": F_X2, "x^4": F_X4, "x4": F_X4}
-
-
-def thread_cap() -> int:
-    """Parallelism cap from FLATKNOT_THREADS (0 = auto).
-
-    The reference implementation is sequential; the cap is recorded and
-    honored by any optional parallel back ends.
-    """
-    try:
-        return max(0, int(os.environ.get("FLATKNOT_THREADS", "0")))
-    except ValueError:
-        return 0
 
 
 def _functional(name: str):
@@ -107,7 +93,6 @@ def cmd_energy(args) -> int:
     except CodimensionOneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    report = {}
     try:
         if args.family == "RE":
             report = breakdown_to_json(resistance_energy(diagram))
@@ -118,13 +103,9 @@ def cmd_energy(args) -> int:
         else:
             e = _functional(args.f)
             g = gauss_from_curve(diagram.curve)
-            rep = el_residual(g, e)
-            report = {
-                "functional": e.name,
-                "value": energy_uf(g, e),
-                "gradient_norm": gradient_norm(g, uf_gradient(g, e)),
-                "el": {"c1": rep.c1, "c2": rep.c2, "rms": rep.rms_residual},
-            }
+            report = energy_report_json(
+                e.name, energy_uf(g, e), gradient_norm(g, uf_gradient(g, e)), el_residual(g, e)
+            )
     except SingularDiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
@@ -174,7 +155,6 @@ def cmd_relax(args) -> int:
         step0=cfg_obj.get("step0", 1e-4),
         max_iters=cfg_obj.get("max_iters", 2000),
         grad_tol=cfg_obj.get("grad_tol", 1e-4),
-        gmre_ceiling=cfg_obj.get("gmre_ceiling", float("inf")),
     )
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

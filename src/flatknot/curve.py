@@ -195,6 +195,25 @@ def gauss_from_curve(c: ClosedCurve) -> GaussRep:
     return GaussRep(alpha, pts[0].copy(), c.length)
 
 
+def trapezoid_points(alpha, base, length: float) -> np.ndarray:
+    """Integrate the unit tangent (cos alpha, sin alpha) from `base`.
+
+    Periodic trapezoid steps p[k+1] = p[k] + h/2 (T[k] + T[k+1]), with
+    T[N] := T[0] and h = length / N, batched over the leading axes of
+    alpha (..., N).  Returns all N + 1 points, shape (..., N + 1, 2); the
+    last one lies on the first exactly when the closure integrals vanish.
+    """
+    a = np.asarray(alpha, dtype=float)
+    h = length / a.shape[-1]
+    zeros = np.zeros(a.shape[:-1] + (1,))
+    coords = []
+    for t, b in ((np.cos(a), base[0]), (np.sin(a), base[1])):
+        te = np.concatenate([t, t[..., :1]], axis=-1)
+        steps = np.cumsum(0.5 * h * (te[..., :-1] + te[..., 1:]), axis=-1)
+        coords.append(b + np.concatenate([zeros, steps], axis=-1))
+    return np.stack(coords, axis=-1)
+
+
 def curve_from_gauss(g: GaussRep) -> ClosedCurve:
     """Integrate (cos alpha, sin alpha) from the base point.
 
@@ -203,25 +222,16 @@ def curve_from_gauss(g: GaussRep) -> ClosedCurve:
     curve snapped closed, otherwise the open polyline is returned with
     its closure gap recorded.
     """
-    a = g.alpha
-    n = g.n
-    h = g.length / n
-    tx, ty = np.cos(a), np.sin(a)
-    # p[k+1] = p[k] + h/2 (T[k] + T[k+1]), with T[n] := T[0] on the periodic grid
-    txe = np.concatenate([tx, tx[:1]])
-    tye = np.concatenate([ty, ty[:1]])
-    px = g.base_point[0] + np.concatenate([[0.0], np.cumsum(0.5 * h * (txe[:-1] + txe[1:]))])
-    py = g.base_point[1] + np.concatenate([[0.0], np.cumsum(0.5 * h * (tye[:-1] + tye[1:]))])
-    gap_vec = np.array([px[-1] - px[0], py[-1] - py[0]])
-    gap = float(np.hypot(*gap_vec))
-
-    cos_i = h * tx.sum()
-    sin_i = h * ty.sum()
-    pts = np.column_stack([px[:-1], py[:-1]])
+    ends = trapezoid_points(g.alpha, g.base_point, g.length)
+    gap_vec = ends[-1] - ends[0]
+    pts = ends[:-1]
+    h = g.length / g.n
+    cos_i = h * np.cos(g.alpha).sum()
+    sin_i = h * np.sin(g.alpha).sum()
     if abs(cos_i) < 1e-8 * TWO_PI and abs(sin_i) < 1e-8 * TWO_PI:
-        pts = pts - np.outer(np.arange(n) / n, gap_vec)
+        pts = pts - np.outer(np.arange(g.n) / g.n, gap_vec)
         return ClosedCurve(pts, polyline_length(pts))
-    return ClosedCurve(pts, polyline_length(pts, closed=False), closure_gap=gap)
+    return ClosedCurve(pts, polyline_length(pts, closed=False), closure_gap=float(np.hypot(*gap_vec)))
 
 
 def closure_report(g: GaussRep) -> ClosureReport:

@@ -4,10 +4,11 @@ event detection and the bounded-GMRE knot-type monitor.
 The descent lives in angle space: the step direction is the analytic
 bending gradient plus a finite-difference resistance gradient evaluated
 on the frozen cycle set of the current diagram, projected off the two
-closure directions.  Every accepted iterate is re-closed, resampled to
-uniform arclength and renormalized to length 2pi.  Over/under data is
-inherited across iterates by spatial matching; census changes are
-classified as R2 / R3 and anything else aborts the flow as FORBIDDEN.
+closure directions.  Every accepted iterate is re-closed and integrated
+at unit speed, so it has length 2pi, and carries its U_f value and its
+resistance breakdown, whose cycles are the next frozen set.  Over/under
+data is inherited across iterates by spatial matching; census changes
+are classified as R2 / R3 and anything else aborts the flow as FORBIDDEN.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import ClosedCurve, GaussRep, TWO_PI, curve_from_gauss, gauss_from_curve, resample_arclength, whitney_index
+from .curve import ClosedCurve, GaussRep, TWO_PI, gauss_from_curve, trapezoid_points, whitney_index
 from .diagram import (
+    EnergyBreakdown,
     KnotDiagram,
     detect_crossings,
     gmre,
@@ -44,7 +46,6 @@ class FlowConfig:
     step0: float = 1e-4
     max_iters: int = 2000
     grad_tol: float = 1e-4
-    gmre_ceiling: float = np.inf
 
     def __post_init__(self):
         if self.resistance not in RESISTANCE_FAMILIES:
@@ -78,24 +79,16 @@ class FlowTrace:
         return max(self.gmre_values) if self.gmre_values else 0.0
 
 
-def resistance_value(d: KnotDiagram, cfg: FlowConfig) -> float:
-    if cfg.resistance == "none":
-        return 0.0
+def resistance_breakdown(d: KnotDiagram, cfg: FlowConfig) -> EnergyBreakdown:
+    """The configured resistance of the diagram; its cycles are the frozen
+    cycle set of the resistance gradient.  "none" is empty with total 0."""
     if cfg.resistance == "RE":
-        return resistance_energy(d).total
+        return resistance_energy(d)
     if cfg.resistance == "MRE":
-        return mre(d, cfg.delta).total
-    return gmre(d, cfg.delta).total
-
-
-def _frozen_cycles(d: KnotDiagram, cfg: FlowConfig):
-    if cfg.resistance == "none" or d.n_crossings == 0:
-        return []
-    if cfg.resistance == "RE":
-        return list(resistance_energy(d).cycles)
-    if cfg.resistance == "MRE":
-        return list(mre(d, cfg.delta).cycles)
-    return list(gmre(d, cfg.delta).cycles)
+        return mre(d, cfg.delta)
+    if cfg.resistance == "GMRE":
+        return gmre(d, cfg.delta)
+    return EnergyBreakdown(0.0, (), "none")
 
 
 def total_energy(c: ClosedCurve, cfg: FlowConfig, diagram: KnotDiagram | None = None):
@@ -104,7 +97,26 @@ def total_energy(c: ClosedCurve, cfg: FlowConfig, diagram: KnotDiagram | None = 
     u = energy_uf(g, cfg.functional)
     if diagram is None:
         diagram = detect_crossings(c, "alternate")
-    return u, resistance_value(diagram, cfg)
+    return u, resistance_breakdown(diagram, cfg).total
+
+
+@dataclass(frozen=True)
+class _Iterate:
+    """Exactly-closed angle samples with everything measured on them."""
+
+    gauss: GaussRep  # length 2pi, based at curve.points[0]
+    curve: ClosedCurve
+    diagram: KnotDiagram
+    u: float
+    resistance: EnergyBreakdown
+
+    @property
+    def total(self) -> float:
+        return self.u + self.resistance.total
+
+
+def _measure(g: GaussRep, curve: ClosedCurve, diagram: KnotDiagram, cfg: FlowConfig) -> _Iterate:
+    return _Iterate(g, curve, diagram, energy_uf(g, cfg.functional), resistance_breakdown(diagram, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -171,51 +183,33 @@ def _eval_resistance_on_points(points, d: KnotDiagram, specs, delta):
     return total
 
 
-def _points_from_alpha(alpha, base, length):
-    """Periodic-trapezoid integration of the tangent field, batched."""
-    a = np.asarray(alpha, dtype=float)
-    n = a.shape[-1]
-    h = length / n
-    tx, ty = np.cos(a), np.sin(a)
-    txe = np.concatenate([tx, tx[..., :1]], axis=-1)
-    tye = np.concatenate([ty, ty[..., :1]], axis=-1)
-    zeros = np.zeros(a.shape[:-1] + (1,))
-    px = base[0] + np.concatenate(
-        [zeros, np.cumsum(0.5 * h * (txe[..., :-1] + txe[..., 1:]), axis=-1)], axis=-1
-    )
-    py = base[1] + np.concatenate(
-        [zeros, np.cumsum(0.5 * h * (tye[..., :-1] + tye[..., 1:]), axis=-1)], axis=-1
-    )
-    return np.stack([px[..., :-1], py[..., :-1]], axis=-1)
-
-
-def _resistance_gradient(curve: ClosedCurve, g: GaussRep, cfg: FlowConfig, d: KnotDiagram):
-    """Central finite differences of the frozen resistance in angle space.
+def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
+    """Central finite differences, in angle space, of the resistance of
+    the frozen cycle set bd.cycles.
 
     Returned in the L^2 convention used by uf_gradient (divide the
     Euclidean partials by the arclength step).
     """
-    cycles = _frozen_cycles(d, cfg)
     n = g.n
-    if not cycles:
+    if not bd.cycles:
         return np.zeros(n)
-    specs = _cycle_vertex_specs(d, cycles)
-    delta = None if cfg.resistance == "RE" else cfg.delta
-    alpha = g.alpha
-    batch = np.tile(alpha, (2 * n, 1))
+    specs = _cycle_vertex_specs(d, bd.cycles)
+    batch = np.tile(g.alpha, (2 * n, 1))
     idx = np.arange(n)
     batch[2 * idx, idx] += _FD_ALPHA
     batch[2 * idx + 1, idx] -= _FD_ALPHA
-    pts = _points_from_alpha(batch, curve.points[0], g.length)
-    vals = _eval_resistance_on_points(pts, d, specs, delta)
+    pts = trapezoid_points(batch, g.base_point, g.length)[..., :-1, :]
+    vals = _eval_resistance_on_points(pts, d, specs, bd.delta)
     grad_euclid = (vals[0::2] - vals[1::2]) / (2.0 * _FD_ALPHA)
     return grad_euclid / (g.length / n)
 
 
-def projected_total_gradient(curve: ClosedCurve, cfg: FlowConfig, d: KnotDiagram):
-    g = gauss_from_curve(curve)
-    grad = uf_gradient(g, cfg.functional) + _resistance_gradient(curve, g, cfg, d)
-    return g, project_closure(g, grad)
+def _projected_gradient(x: _Iterate, cfg: FlowConfig) -> np.ndarray:
+    """Gradient of U_f + resistance at x, projected off the closure
+    directions (uf_gradient comes projected already)."""
+    g = x.gauss
+    rg = _resistance_gradient(g, x.diagram, x.resistance)
+    return uf_gradient(g, cfg.functional) + project_closure(g, rg)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +251,7 @@ def _integrate_alpha(alpha, base) -> ClosedCurve:
     """
     n = len(alpha)
     h = TWO_PI / n
-    pts = _points_from_alpha(alpha, base, TWO_PI)
+    pts = trapezoid_points(alpha, base, TWO_PI)[:-1]
     gap_vec = np.array([h * np.cos(alpha).sum(), h * np.sin(alpha).sum()])
     if np.hypot(*gap_vec) > 1e-6:
         raise StalledError("stalled: step broke the closure constraints")
@@ -294,10 +288,6 @@ def _inherited_rule(prev: KnotDiagram | None, curve: ClosedCurve, radius: float)
     return detect_crossings(curve, rule)
 
 
-def _param_of_passage(d: KnotDiagram, passage: int) -> float:
-    return d.passage_params[passage]
-
-
 def _cyc_dist(a: float, b: float) -> float:
     r = abs(a - b) % TWO_PI
     return min(r, TWO_PI - r)
@@ -307,8 +297,8 @@ def _param_flip(d_old: KnotDiagram, i: int, d_new: KnotDiagram, j: int) -> bool:
     """True when the new crossing's first passage matches the old second."""
     o1, o2 = d_old.crossings[i].passages
     n1, n2 = d_new.crossings[j].passages
-    po1, po2 = _param_of_passage(d_old, o1), _param_of_passage(d_old, o2)
-    pn1, pn2 = _param_of_passage(d_new, n1), _param_of_passage(d_new, n2)
+    po1, po2 = d_old.passage_params[o1], d_old.passage_params[o2]
+    pn1, pn2 = d_new.passage_params[n1], d_new.passage_params[n2]
     straight = _cyc_dist(pn1, po1) + _cyc_dist(pn2, po2)
     flipped = _cyc_dist(pn1, po2) + _cyc_dist(pn2, po1)
     return flipped < straight
@@ -336,38 +326,32 @@ def _match_crossings(before: KnotDiagram, after: KnotDiagram, radius: float):
     return pairs
 
 
-def _step_from_alpha(alpha0, base, curve, diagram, cfg: FlowConfig, step: float):
-    """One Armijo-backtracking descent step from exactly-closed angles.
+def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
+    """One Armijo-backtracking descent step along -grad from x.
 
     Both sides of the Armijo test measure the bending part directly on
     the angle samples, so the comparison is exact; the resistance part is
     re-detected honestly on each candidate curve.
-    Returns (alpha, curve, accepted step, (U, R), diagram).
+    Returns (accepted iterate, accepted step).
     """
-    g = GaussRep(alpha0, base, TWO_PI)
-    grad = project_closure(
-        g, uf_gradient(g, cfg.functional) + _resistance_gradient(curve, g, cfg, diagram)
-    )
+    g = x.gauss
     gnorm2 = (TWO_PI / g.n) * float(np.dot(grad, grad))
-    u0 = energy_uf(g, cfg.functional)
-    e0 = u0 + resistance_value(diagram, cfg)
     radius = max(5.0 * step * np.sqrt(max(gnorm2, 0.0)), 1e-3)
     s = step
     while s >= _STEP_FLOOR:
         try:
-            alpha_s = _reclose_alpha(alpha0 - s * grad, TWO_PI)
-            if np.array_equal(alpha_s, alpha0):
+            alpha_s = _reclose_alpha(g.alpha - s * grad, TWO_PI)
+            if np.array_equal(alpha_s, g.alpha):
                 # already critical to rounding: nothing moves
-                return alpha0, curve, s, (u0, e0 - u0), diagram
-            cand = _integrate_alpha(alpha_s, base)
-            d_cand = _inherited_rule(diagram, cand, radius)
-            u1 = energy_uf(GaussRep(alpha_s, base, TWO_PI), cfg.functional)
-            r1 = resistance_value(d_cand, cfg)
+                return x, s
+            cand = _integrate_alpha(alpha_s, g.base_point)
+            d_cand = _inherited_rule(x.diagram, cand, radius)
+            y = _measure(GaussRep(alpha_s, g.base_point, TWO_PI), cand, d_cand, cfg)
         except (CodimensionOneError, SingularDiagramError, StalledError):
             s *= 0.5
             continue
-        if u1 + r1 <= e0 - _ARMIJO * s * gnorm2:
-            return alpha_s, cand, s, (u1, r1), d_cand
+        if y.total <= x.total - _ARMIJO * s * gnorm2:
+            return y, s
         s *= 0.5
     raise StalledError("stalled")
 
@@ -380,9 +364,10 @@ def flow_step(c: ClosedCurve, cfg: FlowConfig, step: float, diagram: KnotDiagram
     """
     if diagram is None:
         diagram = detect_crossings(c, "alternate")
-    alpha0 = _reclose_alpha(gauss_from_curve(c).alpha, TWO_PI)
-    _, curve, s, _, _ = _step_from_alpha(alpha0, c.points[0], c, diagram, cfg, step)
-    return curve, s
+    g = GaussRep(_reclose_alpha(gauss_from_curve(c).alpha, TWO_PI), c.points[0], TWO_PI)
+    x = _measure(g, c, diagram, cfg)
+    y, s = _step_from_alpha(x, _projected_gradient(x, cfg), cfg, step)
+    return y.curve, s
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +389,17 @@ def _cyclic_equal(a, b) -> bool:
     return any(doubled[i : i + len(b)] == b for i in range(len(a)))
 
 
-def classify_event(before: KnotDiagram, after: KnotDiagram, radius: float = 0.1) -> FlowEvent:
-    """Classify a combinatorial change between consecutive diagrams.
+def classify_event(
+    before: KnotDiagram, after: KnotDiagram, radius: float = 0.1
+) -> FlowEvent | None:
+    """Classify the combinatorial change between consecutive diagrams.
 
-    Crossing-count changes of +-2 with a mutually close unmatched pair
-    are R2 moves; an unchanged census whose passage order changed across
-    a cluster of three crossings is an R3; everything else (including
-    +-1 loop events and crossing-type flips) is FORBIDDEN.
+    None means no change: every crossing matched, the same cyclic passage
+    order and no crossing-type flip.  Crossing-count changes of +-2 with
+    a mutually close unmatched pair are R2 moves; an unchanged census
+    whose passage order changed across a cluster of three crossings is an
+    R3; everything else (including +-1 loop events and crossing-type
+    flips) is FORBIDDEN.
     """
     delta = after.n_crossings - before.n_crossings
     pairs = _match_crossings(before, after, radius)
@@ -464,8 +453,7 @@ def classify_event(before: KnotDiagram, after: KnotDiagram, radius: float = 0.1)
                     -1, "FORBIDDEN", after.crossings[j].position.copy(), 0
                 )
         if _cyclic_equal(seq_a, seq_b):
-            # no combinatorial change at all; report a neutral R3-free event
-            return FlowEvent(-1, "R3", location(list(matched_a), after), 0)
+            return None
         moved = _changed_crossings(seq_b, seq_a, pairs, before, after)
         if len(moved) == 3 and cluster_ok(moved, after, 6 * radius):
             return FlowEvent(-1, "R3", location(moved, after), 0)
@@ -511,79 +499,65 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
     if abs(curve.length - TWO_PI) > 1e-8:
         curve = curve.scaled(TWO_PI / curve.length)
     trace = FlowTrace()
-    base = curve.points[0]
-    alpha = _reclose_alpha(gauss_from_curve(curve).alpha, TWO_PI)
+    g = GaussRep(_reclose_alpha(gauss_from_curve(curve).alpha, TWO_PI), curve.points[0], TWO_PI)
     try:
-        curve = _integrate_alpha(alpha, base)
+        curve = _integrate_alpha(g.alpha, g.base_point)
         diagram = detect_crossings(curve, "alternate")
     except (CodimensionOneError, StalledError):
         trace.final_curve = curve
         trace.terminated = "singular"
         return trace
+    x = _measure(g, curve, diagram, cfg)
     step = cfg.step0
     last_whitney = _safe_whitney(curve)
-    pending = None
 
     for it in range(cfg.max_iters):
-        if pending is None:
-            # measure on the angle basis, the same way the step accepts
-            u = energy_uf(GaussRep(alpha, base, TWO_PI), cfg.functional)
-            r = resistance_value(diagram, cfg)
-        else:
-            u, r = pending
-        trace.energies.append((it, u, r, u + r))
-        trace.crossing_counts.append(diagram.n_crossings)
-        trace.gmre_values.append(gmre(diagram, cfg.delta).total if diagram.n_crossings else 0.0)
+        trace.energies.append((it, x.u, x.resistance.total, x.total))
+        trace.crossing_counts.append(x.diagram.n_crossings)
+        trace.gmre_values.append(gmre(x.diagram, cfg.delta).total if x.diagram.n_crossings else 0.0)
         if keyframe_cb is not None:
-            keyframe_cb(it, curve)
+            keyframe_cb(it, x.curve)
 
-        g = GaussRep(alpha, base, TWO_PI)
-        grad = project_closure(
-            g, uf_gradient(g, cfg.functional) + _resistance_gradient(curve, g, cfg, diagram)
-        )
-        gnorm = gradient_norm(g, grad)
+        grad = _projected_gradient(x, cfg)
+        gnorm = gradient_norm(x.gauss, grad)
         if gnorm < cfg.grad_tol:
             trace.terminated = "converged"
             break
         try:
-            alpha_new, new_curve, accepted, pending, new_diagram = _step_from_alpha(
-                alpha, base, curve, diagram, cfg, step
-            )
+            y, accepted = _step_from_alpha(x, grad, cfg, step)
         except StalledError:
             trace.terminated = "converged"
             trace.findings.append(f"iter {it}: line search stalled at |grad| = {gnorm:.3e}")
             break
 
-        disp = float(np.max(np.hypot(*(new_curve.points - curve.points).T)))
-        radius = max(5.0 * disp, 1e-3)
-        if _census_changed(diagram, new_diagram, radius):
-            event = classify_event(diagram, new_diagram, radius)
+        disp = float(np.max(np.hypot(*(y.curve.points - x.curve.points).T)))
+        event = classify_event(x.diagram, y.diagram, max(5.0 * disp, 1e-3))
+        if event is not None:
             event = dataclasses.replace(event, iter=it)
             trace.events.append(event)
             if event.kind == "FORBIDDEN":
                 # record the offending state so the GMRE monitor sees it
-                u1, r1 = pending
-                trace.energies.append((it + 1, u1, r1, u1 + r1))
-                trace.crossing_counts.append(new_diagram.n_crossings)
+                trace.energies.append((it + 1, y.u, y.resistance.total, y.total))
+                trace.crossing_counts.append(y.diagram.n_crossings)
                 try:
-                    trace.gmre_values.append(gmre(new_diagram, cfg.delta).total)
+                    trace.gmre_values.append(gmre(y.diagram, cfg.delta).total)
                 except SingularDiagramError:
                     trace.gmre_values.append(np.inf)
                 trace.terminated = "forbidden_event"
-                trace.final_curve = new_curve
+                trace.final_curve = y.curve
                 return trace
 
-        w = _safe_whitney(new_curve)
+        w = _safe_whitney(y.curve)
         if w is not None and last_whitney is not None and w != last_whitney:
             trace.findings.append(f"iter {it}: Whitney index changed {last_whitney} -> {w}")
         last_whitney = w if w is not None else last_whitney
 
-        alpha, curve, diagram = alpha_new, new_curve, new_diagram
+        x = y
         step = min(accepted * _STEP_GROWTH, 1.0)
     else:
         trace.terminated = "max_iters"
 
-    trace.final_curve = curve
+    trace.final_curve = x.curve
     return trace
 
 
@@ -592,27 +566,3 @@ def _safe_whitney(curve: ClosedCurve):
         return whitney_index(curve)
     except ValueError:
         return None
-
-
-def _census_changed(before: KnotDiagram, after: KnotDiagram, radius: float) -> bool:
-    if before.n_crossings != after.n_crossings:
-        return True
-    if before.n_crossings == 0:
-        return False
-    pairs = _match_crossings(before, after, radius)
-    if len(pairs) != before.n_crossings:
-        return True
-    labels_b = {i: f"b{i}" for i in range(before.n_crossings)}
-    labels_a = {j: labels_b[i] for i, j in pairs}
-    if not _cyclic_equal(
-        _gauss_sequence(before, labels_b), _gauss_sequence(after, labels_a)
-    ):
-        return True
-    for i, j in pairs:
-        ob = before.crossings[i].over_passage == min(before.crossings[i].passages)
-        oa = after.crossings[j].over_passage == min(after.crossings[j].passages)
-        if _param_flip(before, i, after, j):
-            oa = not oa
-        if ob != oa:
-            return True
-    return False

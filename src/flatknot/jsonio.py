@@ -77,11 +77,13 @@ def breakdown_to_json(b: EnergyBreakdown) -> dict:
     return out
 
 
-def energy_report_json(name: str, value: float, grad_norm: float, el=None) -> dict:
-    out = {"functional": name, "value": value, "gradient_norm": grad_norm}
-    if el is not None:
-        out["el"] = {"c1": el.c1, "c2": el.c2, "rms": el.rms_residual}
-    return out
+def energy_report_json(name: str, value: float, grad_norm: float, el) -> dict:
+    return {
+        "functional": name,
+        "value": value,
+        "gradient_norm": grad_norm,
+        "el": {"c1": el.c1, "c2": el.c2, "rms": el.rms_residual},
+    }
 
 
 def write_trace_jsonl(trace, path) -> None:

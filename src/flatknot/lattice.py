@@ -228,8 +228,3 @@ def young_diagram_cycles(n: int) -> list[tuple[tuple[int, ...], list[tuple[int, 
             loop.append((0, cc))
         out.append((shape, loop))
     return out
-
-
-def young_cycle_count_identity(n: int) -> bool:
-    """binomial(2n, n) - 1 nonempty Young shapes fit in the n x n box."""
-    return len(young_diagram_cycles(n)) == comb(2 * n, n) - 1

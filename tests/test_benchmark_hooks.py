@@ -1,0 +1,47 @@
+"""The benchmark reaches flatknot by name: `benchmark/spans.py` wraps the
+entry points listed in its LAYERS table, and `benchmark/reference.py` and
+`benchmark/workloads.py` call the flow directly.  A rename or deletion in
+the package must fail here, not only in a traced benchmark run."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from flatknot import flow
+from flatknot.diagram import detect_crossings
+from flatknot.fixtures import trefoil_curve
+
+SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+
+
+def _traced_entry_points():
+    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return [(module, name) for module, names in spans.LAYERS.values() for name in names]
+
+
+@pytest.mark.parametrize("module, name", _traced_entry_points())
+def test_traced_entry_point_exists(module, name):
+    assert callable(getattr(importlib.import_module(module), name, None))
+
+
+def test_flow_step_positional_call():
+    c = trefoil_curve(128)
+    curve, step = flow.flow_step(c, flow.FlowConfig(resistance="RE"), 1e-4, detect_crossings(c))
+    assert curve.n == c.n and step > 0
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (flow.relax, ("curve", "cfg", "keyframe_cb")),
+        (flow.total_energy, ("curve", "cfg", "diagram")),
+        (flow.classify_event, ("before", "after", 0.1)),
+    ],
+)
+def test_public_flow_signatures(fn, args):
+    inspect.signature(fn).bind(*args)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from flatknot.curve import TWO_PI, gauss_from_curve, resample_arclength
-from flatknot.diagram import detect_crossings, enumerate_cycles
+from flatknot.diagram import detect_crossings, enumerate_cycles, shoelace_area
 from flatknot.errors import StalledError
 from flatknot.fixtures import (
     bigon_pair,
     circle_curve,
+    ellipse_curve,
     limacon_curve,
     noisy_circle,
     noisy_figure_eight,
@@ -14,9 +15,11 @@ from flatknot.fixtures import (
 )
 from flatknot.flow import (
     FlowConfig,
+    _resistance_gradient,
     classify_event,
     flow_step,
     relax,
+    resistance_breakdown,
     total_energy,
 )
 from flatknot.pendulum import build_infinity_curve
@@ -29,24 +32,25 @@ from flatknot.uniformization import (
 )
 
 
-def bump_curve(c, center, width, vec):
-    pts = c.points.copy()
-    w = np.exp(-np.hypot(*(pts - center).T) ** 2 / width**2)
-    pts = pts + np.outer(w, vec)
-    out = resample_arclength(pts, c.n)
-    return out.scaled(TWO_PI / out.length)
-
-
 def r3_pair():
-    """Trefoil and its deformation sliding one central strand across the
-    opposite crossing: a pure third Reidemeister move."""
-    base = trefoil_curve(512)
-    d0 = detect_crossings(base)
-    centroid = np.array([c.position for c in d0.crossings]).mean(axis=0)
-    i0 = int(np.argmin(np.hypot(*(base.points - centroid).T)))
-    p0 = base.points[i0]
-    moved = bump_curve(base, p0, 0.25, (centroid - p0) * 1.8)
-    return d0, detect_crossings(moved)
+    """A pure third Reidemeister move.  The curve
+    (2 sin t + 2 sin 2t, 2 cos t - 2 cos 2t) has a triple point at the
+    origin, passed at t = 2pi/3, 4pi/3 and 2pi.  Sliding the strand passed
+    at t = 2pi/3 from one side of the other two's crossing to the other
+    inverts the small central triangle.  The traversal starts at t = pi/3
+    and every crossing puts its first passage over, so the three strands
+    are layered with the sliding one on top."""
+    t = np.linspace(0, TWO_PI, 4096, endpoint=False) + np.pi / 3
+    pts = np.column_stack([2 * np.sin(t) + 2 * np.sin(2 * t), 2 * np.cos(t) - 2 * np.cos(2 * t)])
+    tang = np.gradient(pts, axis=0)
+    normal = np.column_stack([-tang[:, 1], tang[:, 0]]) / np.hypot(*tang.T)[:, None]
+    bump = np.exp(-((np.angle(np.exp(1j * (t - 2 * np.pi / 3))) / 0.3) ** 2))
+
+    def slid(eps):
+        c = resample_arclength(pts + eps * bump[:, None] * normal, 512)
+        return detect_crossings(c.scaled(TWO_PI / c.length), [True] * 3)
+
+    return slid(-0.1), slid(0.1)
 
 
 class TestTotalEnergy:
@@ -71,6 +75,36 @@ class TestTotalEnergy:
         u2, r2 = total_energy(c.scaled(2.0), cfg)
         assert u2 == pytest.approx(u1 / 2, rel=1e-9)
         assert r2 == pytest.approx(r1 / 4, rel=1e-9)
+
+
+class TestResistanceGradient:
+    def test_crossing_free_matches_finite_differences(self):
+        """The whole-curve cycle of a crossing-free diagram drives the
+        gradient: it matches central differences of 1/A in angle space,
+        taken on an independent complex-valued trapezoid integration."""
+        c = ellipse_curve(128)
+        d = detect_crossings(c, "alternate")
+        assert d.n_crossings == 0 and c.length == pytest.approx(TWO_PI)
+        g = gauss_from_curve(c)
+        got = project_closure(g, _resistance_gradient(g, d, resistance_breakdown(d, FlowConfig(resistance="RE"))))
+
+        h = g.length / g.n
+
+        def inv_area(alpha):
+            t = np.exp(1j * alpha)
+            steps = np.cumsum(0.5 * h * (t + np.roll(t, -1)))[:-1]
+            z = complex(*g.base_point) + np.concatenate([[0.0], steps])
+            return 1.0 / shoelace_area(np.column_stack([z.real, z.imag]))
+
+        eps = 1e-6
+        fd = np.empty(g.n)
+        for i in range(g.n):
+            e = np.zeros(g.n)
+            e[i] = eps
+            fd[i] = (inv_area(g.alpha + e) - inv_area(g.alpha - e)) / (2 * eps)
+        want = project_closure(g, fd / h)
+        assert gradient_norm(g, want) > 0.1
+        assert gradient_norm(g, got - want) <= 1e-6 * gradient_norm(g, want)
 
 
 class TestFlowStep:
@@ -100,6 +134,9 @@ class TestFlowStep:
 
 
 class TestClassify:
+    def test_no_change_is_none(self, trefoil_diagram):
+        assert classify_event(trefoil_diagram, trefoil_diagram) is None
+
     def test_r2_vanish(self):
         with_bigon, without = bigon_pair()
         ev = classify_event(
