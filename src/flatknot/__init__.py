@@ -27,7 +27,6 @@ from .diagram import (
     Edge,
     EnergyBreakdown,
     KnotDiagram,
-    cycle_area,
     detect_crossings,
     diagram_faces,
     enumerate_cycles,

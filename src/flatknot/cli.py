@@ -89,7 +89,7 @@ def cmd_energy(args) -> int:
         if "crossings" in obj:
             diagram = diagram_from_json(obj)
         else:
-            diagram = detect_crossings(curve_from_json(obj), "alternate")
+            diagram = detect_crossings(curve_from_json(obj))
     except CodimensionOneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
@@ -128,9 +128,7 @@ def cmd_cycles(args) -> int:
             print(json.dumps(census_to_json(cycles)))
             return EXIT_OK
         obj = load_json(args.diagram)
-        diagram = diagram_from_json(obj) if "crossings" in obj else detect_crossings(
-            curve_from_json(obj), "alternate"
-        )
+        diagram = diagram_from_json(obj) if "crossings" in obj else detect_crossings(curve_from_json(obj))
         cycles = enumerate_cycles(diagram, max_cycles=args.limit)
         print(json.dumps(census_to_json(cycles)))
         return EXIT_OK
@@ -189,7 +187,7 @@ def cmd_render(args) -> int:
     else:
         curve = curve_from_json(obj)
         try:
-            diagram = detect_crossings(curve, "alternate")
+            diagram = detect_crossings(curve)
             svg = diagram_svg(diagram, spec)
         except CodimensionOneError:
             svg = curve_svg(curve, spec)

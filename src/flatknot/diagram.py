@@ -12,7 +12,10 @@ every arc has one endpoint on an over-strand and one on an under-strand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import dataclasses
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,14 +42,18 @@ class Crossing:
     def passages(self) -> tuple[int, int]:
         return tuple(sorted((self.over_passage, self.under_passage)))
 
+    @property
+    def first_over(self) -> bool:
+        return self.over_passage < self.under_passage
 
-@dataclass(frozen=True)
-class Edge:
-    """Curve segment between two consecutive crossing passages."""
 
-    start_passage: int
-    end_passage: int
-    points: np.ndarray  # polyline including both crossing endpoints
+class Edge(NamedTuple):
+    """Edge of a 4-valent map between two (crossing, slot) ends; an end is
+    None for the dangling strand ends of lattice fragments."""
+
+    end0: tuple[int, int] | None
+    end1: tuple[int, int] | None
+    points: np.ndarray  # polyline including both endpoints
     interior_indices: tuple[int, ...] = ()  # curve sample indices strictly inside
 
 
@@ -98,21 +105,19 @@ class EnergyBreakdown:
 class DiagramGraph:
     """4-valent map: crossings with 4 slots each, edges joining slots.
 
-    Endpoints are (crossing index, slot) pairs, or None for the dangling
-    strand ends of lattice fragments.  `over_strand[c]` names the strand
-    (0 or 1) whose passage is the overpass at crossing c.
+    `over_strand[c]` names the strand (0 or 1) whose passage is the
+    overpass at crossing c.
     """
 
-    def __init__(self, n_crossings, positions, over_strand):
+    def __init__(self, n_crossings, over_strand):
         self.n_crossings = n_crossings
-        self.positions = np.asarray(positions, dtype=float).reshape(n_crossings, 2)
         self.over_strand = list(over_strand)
-        self.edges: list[tuple] = []  # (end0, end1, polyline)
+        self.edges: list[Edge] = []
         self.slot_edge: list[dict] = [dict() for _ in range(n_crossings)]
 
-    def add_edge(self, end0, end1, points) -> int:
+    def add_edge(self, end0, end1, points, interior_indices=()) -> int:
         eid = len(self.edges)
-        self.edges.append((end0, end1, np.asarray(points, dtype=float)))
+        self.edges.append(Edge(end0, end1, np.asarray(points, dtype=float), interior_indices))
         for end in (end0, end1):
             if end is not None:
                 c, s = end
@@ -122,23 +127,26 @@ class DiagramGraph:
         return eid
 
     def other_end(self, eid: int, end) -> tuple | None:
-        e0, e1, _ = self.edges[eid]
+        e0, e1, _, _ = self.edges[eid]
         return e1 if end == e0 else e0
 
     def edge_polyline(self, eid: int, forward: bool) -> np.ndarray:
-        pts = self.edges[eid][2]
+        pts = self.edges[eid].points
         return pts if forward else pts[::-1]
+
+
+def signed_area(points: np.ndarray) -> float:
+    """Signed shoelace area of a closed polyline (last edge implied),
+    positive when counter-clockwise.  Taken about the first vertex, so a
+    small polygon far from the origin keeps its relative precision."""
+    p = np.asarray(points, dtype=float)
+    x, y = p[:, 0] - p[0, 0], p[:, 1] - p[0, 1]
+    return float(np.dot(x[:-1], y[1:]) - np.dot(y[:-1], x[1:])) / 2.0
 
 
 def shoelace_area(points: np.ndarray) -> float:
     """Absolute shoelace area of a closed polyline (last edge implied)."""
-    p = np.asarray(points, dtype=float)
-    x, y = p[:, 0], p[:, 1]
-    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))) / 2.0
-
-
-def cycle_area(cy: DiagramCycle) -> float:
-    return shoelace_area(cy.polyline)
+    return abs(signed_area(points))
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +198,12 @@ def _segment_intersections(pts: np.ndarray):
     return out
 
 
-def detect_crossings(c: ClosedCurve, over_under="alternate") -> "KnotDiagram":
+def detect_crossings(c: ClosedCurve) -> "KnotDiagram":
     """Build the knot diagram of a closed polyline in general position.
 
-    over_under: "alternate" synthesizes overpasses alternating along the
-    strand (falling back to first-passage-over where the passage parities
-    coincide), or a sequence of booleans first_passage_over per crossing
-    in order of first passage, or a callable (index, params) -> bool.
+    Overpasses alternate along the strand, falling back to first passage
+    over where the two passage parities coincide; `KnotDiagram.relabelled`
+    sets any other over/under data on the same geometry.
     """
     pts = c.points
     n = c.n
@@ -222,58 +229,37 @@ def detect_crossings(c: ClosedCurve, over_under="alternate") -> "KnotDiagram":
         raw.append(((i + t) * h, (j + u) * h, point, ang, (i, j)))
     raw.sort(key=lambda r: min(r[0], r[1]))
     # assign passage indices by sorting all 2n parameters
-    all_params = []
-    for ci, rec in enumerate(raw):
-        all_params.append((rec[0], ci))
-        all_params.append((rec[1], ci))
-    all_params.sort()
-    passage_of = {}  # (crossing, which) -> passage index
+    all_params = sorted((s, ci) for ci, rec in enumerate(raw) for s in rec[:2])
     passage_params = [p for p, _ in all_params]
     passage_crossing = [ci for _, ci in all_params]
-    seen = {}
-    for pi, (p, ci) in enumerate(all_params):
-        which = seen.get(ci, 0)
-        passage_of[(ci, which)] = pi
-        seen[ci] = which + 1
+    passages = [[] for _ in raw]  # per crossing: (first, second) passage index
+    for pi, ci in enumerate(passage_crossing):
+        passages[ci].append(pi)
 
-    crossings = []
-    crossing_segments = []
-    for ci, (s1, s2, point, ang, segs) in enumerate(raw):
-        p_first = passage_of[(ci, 0)]
-        p_second = passage_of[(ci, 1)]
-        if isinstance(over_under, str) and over_under == "alternate":
-            first_over = p_first % 2 == 0
-            if p_first % 2 == p_second % 2:
-                first_over = True
-        elif callable(over_under):
-            first_over = bool(over_under(ci, (s1, s2)))
-        else:
-            first_over = bool(over_under[ci])
-        over_p, under_p = (p_first, p_second) if first_over else (p_second, p_first)
-        crossings.append(Crossing(np.asarray(point), over_p, under_p, ang))
-        crossing_segments.append(segs)
-
-    edges = _build_edges(pts, passage_params, crossings, passage_crossing)
-    return KnotDiagram(
-        c,
-        crossings,
-        edges,
-        passage_params=passage_params,
-        passage_crossing=passage_crossing,
-        crossing_segments=crossing_segments,
-    )
+    crossings = [
+        Crossing(np.asarray(point), p1, p2, ang)
+        for (_, _, point, ang, _), (p1, p2) in zip(raw, passages)
+    ]
+    graph = _build_edges(pts, passage_params, passage_crossing, crossings)
+    d = KnotDiagram(c, crossings, graph, passage_params, passage_crossing, [r[4] for r in raw])
+    return d.relabelled(p1 % 2 == 0 or p1 % 2 == p2 % 2 for p1, p2 in passages)
 
 
-def _build_edges(pts, passage_params, crossings, passage_crossing):
+def _build_edges(pts, passage_params, passage_crossing, crossings) -> DiagramGraph:
+    """The map of the curve with every first passage over: the edge after
+    passage j runs from the out slot of its strand to the in slot of
+    passage j + 1's strand, and strand 0 is a crossing's first passage."""
     n = len(pts)
     h = TWO_PI / n
     m = len(passage_params)
-    edges = []
+    g = DiagramGraph(len(crossings), [0] * len(crossings))
+    in_slot = [0 if crossings[ci].passages[0] == j else 2 for j, ci in enumerate(passage_crossing)]
     for j in range(m):
         t0 = passage_params[j]
         t1 = passage_params[(j + 1) % m]
-        p0 = crossings[passage_crossing[j]].position
-        p1 = crossings[passage_crossing[(j + 1) % m]].position
+        c0, c1 = passage_crossing[j], passage_crossing[(j + 1) % m]
+        p0 = crossings[c0].position
+        p1 = crossings[c1].position
         if j + 1 < m:
             ks = np.arange(int(np.floor(t0 / h)) + 1, int(np.ceil(t1 / h)))
         else:
@@ -287,8 +273,8 @@ def _build_edges(pts, passage_params, crossings, passage_crossing):
                 np.hypot(*(poly[1:-1] - poly[-1]).T) > 1e-12
             )
         interior = tuple(int(k % n) for k, kept in zip(ks, keep[1:-1]) if kept)
-        edges.append(Edge(j, (j + 1) % m, poly[keep], interior))
-    return edges
+        g.add_edge((c0, in_slot[j] + 1), (c1, in_slot[(j + 1) % m]), poly[keep], interior)
+    return g
 
 
 class KnotDiagram:
@@ -298,53 +284,42 @@ class KnotDiagram:
         self,
         curve: ClosedCurve,
         crossings: list[Crossing],
-        edges: list[Edge],
+        graph: DiagramGraph,
         passage_params=None,
         passage_crossing=None,
         crossing_segments=None,
     ):
         self.curve = curve
         self.crossings = crossings
-        self.edges = edges
+        self.graph = graph
         self.passage_params = passage_params or []
         self.passage_crossing = passage_crossing or []
         self.crossing_segments = crossing_segments or []
-        self.graph = self._build_graph()
 
     @property
     def n_crossings(self) -> int:
         return len(self.crossings)
 
-    def _build_graph(self) -> DiagramGraph:
-        n = len(self.crossings)
-        g = DiagramGraph(
-            n,
-            np.array([c.position for c in self.crossings]).reshape(n, 2),
-            [0 if c.over_passage == min(c.passages) else 1 for c in self.crossings],
+    def relabelled(self, first_over) -> "KnotDiagram":
+        """The same diagram with new over/under data: one bool per crossing
+        in order of first passage, true where the first passage is over.
+
+        The curve, passages, segments and edge table are shared; only the
+        crossing records and `graph.over_strand` are new.
+        """
+        crossings = []
+        for cr, fo in zip(self.crossings, first_over, strict=True):
+            p1, p2 = cr.passages
+            over, under = (p1, p2) if fo else (p2, p1)
+            crossings.append(dataclasses.replace(cr, over_passage=over, under_passage=under))
+        graph = copy.copy(self.graph)
+        graph.over_strand = [0 if cr.first_over else 1 for cr in crossings]
+        return KnotDiagram(
+            self.curve, crossings, graph, self.passage_params, self.passage_crossing, self.crossing_segments
         )
-        if n == 0:
-            return g
-        # passage -> (crossing, strand): strand 0 is the earlier passage
-        passage_owner = {}
-        for ci, c in enumerate(self.crossings):
-            p1, p2 = c.passages
-            passage_owner[p1] = (ci, 0)
-            passage_owner[p2] = (ci, 1)
-        for e in self.edges:
-            c_tail, s_tail = passage_owner[e.start_passage]
-            c_head, s_head = passage_owner[e.end_passage]
-            # out slot of the tail strand, in slot of the head strand
-            g.add_edge((c_tail, 2 * s_tail + 1), (c_head, 2 * s_head), e.points)
-        return g
 
     def scaled(self, s: float) -> "KnotDiagram":
-        return detect_crossings_like(self, self.curve.scaled(s))
-
-
-def detect_crossings_like(d: KnotDiagram, c: ClosedCurve) -> KnotDiagram:
-    """Re-detect on a transformed copy, keeping d's over/under choices."""
-    rule = [cr.over_passage == min(cr.passages) for cr in d.crossings]
-    return detect_crossings(c, rule)
+        return detect_crossings(self.curve.scaled(s)).relabelled(cr.first_over for cr in self.crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +375,7 @@ def enumerate_cycles_graph(
             )
 
     for anchor in sorted(allowed):
-        end0, end1, _ = g.edges[anchor]
+        end0, end1, _, _ = g.edges[anchor]
         if end0 is None or end1 is None:
             continue
         c_home, s_home = end0
@@ -426,7 +401,7 @@ def enumerate_cycles_graph(
                 if arc_cap is not None and t2 > arc_cap:
                     continue
                 used_edges.add(eid)
-                e0, _, _ = g.edges[eid]
+                e0, _, _, _ = g.edges[eid]
                 path.append((eid, (c, s_out) == e0))
                 dfs(nxt, t2)
                 path.pop()
@@ -445,10 +420,10 @@ def _cycle_from_path(g: DiagramGraph, path) -> DiagramCycle:
     k = len(path)
     for idx in range(k):
         eid, fwd = path[idx]
-        e0, e1, _ = g.edges[eid]
+        e0, e1, _, _ = g.edges[eid]
         arrive = e1 if fwd else e0
         nid, nfwd = path[(idx + 1) % k]
-        n0, n1, _ = g.edges[nid]
+        n0, n1, _, _ = g.edges[nid]
         depart = n0 if nfwd else n1
         assert arrive[0] == depart[0]
         ends.append((arrive[0], arrive[1], depart[1]))
@@ -608,7 +583,7 @@ def _rotations(g: DiagramGraph):
     for c in range(g.n_crossings):
         entries = []
         for s, eid in g.slot_edge[c].items():
-            e0, e1, pts = g.edges[eid]
+            e0, e1, pts, _ = g.edges[eid]
             if e0 == (c, s):
                 v = pts[1] - pts[0]
             else:
@@ -620,7 +595,7 @@ def _rotations(g: DiagramGraph):
 
 
 def diagram_faces(d: KnotDiagram):
-    """Faces of the planar map as (edge id set, signed area) records.
+    """Faces of the planar map as (edge id set, signed area, dart walk) records.
 
     Signed area is positive for the bounded faces under the traversal
     rule used here; the unbounded face carries the negative total.
@@ -628,7 +603,7 @@ def diagram_faces(d: KnotDiagram):
     g = d.graph
     rot = _rotations(g)
     darts = set()
-    for eid, (e0, e1, _) in enumerate(g.edges):
+    for eid, (e0, e1, _, _) in enumerate(g.edges):
         if e0 is not None and e1 is not None:
             darts.add((eid, True))
             darts.add((eid, False))
@@ -642,21 +617,19 @@ def diagram_faces(d: KnotDiagram):
             walk.append(dart)
             remaining.discard(dart)
             eid, fwd = dart
-            e0, e1, _ = g.edges[eid]
+            e0, e1, _, _ = g.edges[eid]
             c, s_in = e1 if fwd else e0
             order = rot[c]
             # next dart departs from the clockwise-next slot after arrival
             k = order.index(s_in)
             s_out = order[(k - 1) % len(order)]
             nid = g.slot_edge[c][s_out]
-            n0, _, _ = g.edges[nid]
+            n0, _, _, _ = g.edges[nid]
             dart = (nid, (c, s_out) == n0)
             if dart == start:
                 break
         pts = np.vstack([g.edge_polyline(eid, fwd)[:-1] for eid, fwd in walk])
-        x, y = pts[:, 0], pts[:, 1]
-        signed = (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0
-        faces.append((frozenset(eid for eid, _ in walk), float(signed), walk))
+        faces.append((frozenset(eid for eid, _ in walk), signed_area(pts), walk))
     return faces
 
 

@@ -96,7 +96,7 @@ def total_energy(c: ClosedCurve, cfg: FlowConfig, diagram: KnotDiagram | None = 
     g = gauss_from_curve(c)
     u = energy_uf(g, cfg.functional)
     if diagram is None:
-        diagram = detect_crossings(c, "alternate")
+        diagram = detect_crossings(c)
     return u, resistance_breakdown(diagram, cfg).total
 
 
@@ -133,12 +133,12 @@ def _cycle_vertex_specs(d: KnotDiagram, cycles):
             continue
         spec = []
         for eid, fwd in zip(cy.edge_ids, cy.orientations):
-            e = d.edges[eid]
+            e = d.graph.edges[eid]
             if fwd:
-                spec.append(("x", d.passage_crossing[e.start_passage]))
+                spec.append(("x", e.end0[0]))
                 spec.extend(("p", i) for i in e.interior_indices)
             else:
-                spec.append(("x", d.passage_crossing[e.end_passage]))
+                spec.append(("x", e.end1[0]))
                 spec.extend(("p", i) for i in reversed(e.interior_indices))
         specs.append(spec)
     return specs
@@ -178,7 +178,8 @@ def _eval_resistance_on_points(points, d: KnotDiagram, specs, delta):
         area = 0.5 * np.abs(
             np.sum(vx * np.roll(vy, -1, axis=-1) - vy * np.roll(vx, -1, axis=-1), axis=-1)
         )
-        area = np.maximum(area, 1e-300)
+        if not np.all(area > 1e-12):
+            raise SingularDiagramError("singular diagram: zero-area frozen cycle")
         total = total + (1.0 / area if delta is None else 1.0 / area - 1.0 / delta)
     return total
 
@@ -266,26 +267,19 @@ def _inherited_rule(prev: KnotDiagram | None, curve: ClosedCurve, radius: float)
     parameter); unmatched new crossings put the earlier passage on top,
     which is the consistent choice for an R2 pair.
     """
-    base = detect_crossings(curve, "alternate")
+    base = detect_crossings(curve)
     if prev is None or prev.n_crossings == 0 or base.n_crossings == 0:
         return base
-    pairs = _match_crossings(prev, base, radius)
+    matched = {j: i for i, j in _match_crossings(prev, base, radius)}
     rule = []
-    matched = {j: i for i, j in pairs}
-    for j, cr in enumerate(base.crossings):
-        p1, p2 = cr.passages
+    for j in range(base.n_crossings):
         if j in matched:
-            old = prev.crossings[matched[j]]
-            o1, _ = old.passages
-            old_first_over = old.over_passage == o1
+            i = matched[j]
             # passage correspondence by cyclic parameter distance
-            if _param_flip(prev, matched[j], base, j):
-                rule.append(not old_first_over)
-            else:
-                rule.append(old_first_over)
+            rule.append(prev.crossings[i].first_over != _param_flip(prev, i, base, j))
         else:
             rule.append(True)
-    return detect_crossings(curve, rule)
+    return base.relabelled(rule)
 
 
 def _cyc_dist(a: float, b: float) -> float:
@@ -363,7 +357,7 @@ def flow_step(c: ClosedCurve, cfg: FlowConfig, step: float, diagram: KnotDiagram
     1e-12 raises StalledError("stalled").
     """
     if diagram is None:
-        diagram = detect_crossings(c, "alternate")
+        diagram = detect_crossings(c)
     g = GaussRep(_reclose_alpha(gauss_from_curve(c).alpha, TWO_PI), c.points[0], TWO_PI)
     x = _measure(g, c, diagram, cfg)
     y, s = _step_from_alpha(x, _projected_gradient(x, cfg), cfg, step)
@@ -444,11 +438,8 @@ def classify_event(
     if delta == 0 and not gone and not new:
         # crossing-type flips are forbidden
         for i, j in pairs:
-            ob = before.crossings[i].over_passage == min(before.crossings[i].passages)
-            oa = after.crossings[j].over_passage == min(after.crossings[j].passages)
-            if _param_flip(before, i, after, j):
-                oa = not oa
-            if ob != oa:
+            oa = after.crossings[j].first_over != _param_flip(before, i, after, j)
+            if before.crossings[i].first_over != oa:
                 return FlowEvent(
                     -1, "FORBIDDEN", after.crossings[j].position.copy(), 0
                 )
@@ -493,7 +484,8 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
     trace records (U, R, total) and the GMRE monitor value per iterate;
     any event other than R2/R3 aborts with terminated = "forbidden_event".
     A stalled line search is recorded as convergence (the iterate is a
-    numerical critical point).
+    numerical critical point); a frozen cycle of zero area ends the flow
+    with terminated = "singular".
     """
     curve = c0
     if abs(curve.length - TWO_PI) > 1e-8:
@@ -502,7 +494,7 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
     g = GaussRep(_reclose_alpha(gauss_from_curve(curve).alpha, TWO_PI), curve.points[0], TWO_PI)
     try:
         curve = _integrate_alpha(g.alpha, g.base_point)
-        diagram = detect_crossings(curve, "alternate")
+        diagram = detect_crossings(curve)
     except (CodimensionOneError, StalledError):
         trace.final_curve = curve
         trace.terminated = "singular"
@@ -518,7 +510,11 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
         if keyframe_cb is not None:
             keyframe_cb(it, x.curve)
 
-        grad = _projected_gradient(x, cfg)
+        try:
+            grad = _projected_gradient(x, cfg)
+        except SingularDiagramError:
+            trace.terminated = "singular"
+            break
         gnorm = gradient_norm(x.gauss, grad)
         if gnorm < cfg.grad_tol:
             trace.terminated = "converged"

@@ -47,14 +47,11 @@ def diagram_to_json(d: KnotDiagram) -> dict:
 
 def diagram_from_json(obj: dict) -> KnotDiagram:
     """Rebuild a diagram: crossings are re-detected from the curve and the
-    stored over/under choices are replayed onto them."""
-    curve = curve_from_json(obj["curve"])
-    recs = obj.get("crossings", [])
-    if not recs:
-        return detect_crossings(curve, "alternate")
-    by_first = sorted(recs, key=lambda r: min(r["over"], r["under"]))
-    rule = [r["over"] < r["under"] for r in by_first]
-    return detect_crossings(curve, rule)
+    stored over/under choices are replayed onto them; a crossing list that
+    does not fit the curve raises ValueError."""
+    d = detect_crossings(curve_from_json(obj["curve"]))
+    recs = sorted(obj.get("crossings", []), key=lambda r: min(r["over"], r["under"]))
+    return d.relabelled(r["over"] < r["under"] for r in recs) if recs else d
 
 
 def census_to_json(cycles) -> dict:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from math import comb
 
-import numpy as np
-
 from .diagram import DiagramGraph, DiagramCycle, enumerate_cycles_graph
 
 _TABLE_MAX_N = 6
@@ -157,7 +155,7 @@ def woven_fragment(strands: int) -> DiagramGraph:
     idx = lambda i, j: i * m + j
     positions = [(j, i) for i in range(m) for j in range(m)]
     over = [0 if (i + j) % 2 == 0 else 1 for i in range(m) for j in range(m)]
-    g = DiagramGraph(m * m, np.array(positions, dtype=float), over)
+    g = DiagramGraph(m * m, over)
     # horizontal strand at crossing: slots 0 (in, from the left) / 1 (out, to the right)
     # vertical strand: slots 2 (in, from below) / 3 (out, upward)
     for i in range(m):

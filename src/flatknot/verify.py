@@ -317,7 +317,7 @@ def check_flow_trefoil():
     tr = _flow_runs()["trefoil"]
     dt = _flow_cache["trefoil_s"]
     delta = 0.2
-    final = detect_crossings(tr.final_curve, "alternate")
+    final = detect_crossings(tr.final_curve)
     crit = [cy for cy in enumerate_cycles(final) if cy.alternated and cy.area < delta]
     ok = len(crit) >= 1 and dt < 120
     areas = sorted(round(cy.area, 5) for cy in crit)

@@ -1,7 +1,8 @@
 """The benchmark reaches flatknot by name: `benchmark/spans.py` wraps the
 entry points listed in its LAYERS table, and `benchmark/reference.py` and
-`benchmark/workloads.py` call the flow directly.  A rename or deletion in
-the package must fail here, not only in a traced benchmark run."""
+`benchmark/workloads.py` call the flow directly and read the diagram
+records.  A rename or deletion in the package must fail here, not only in
+a traced benchmark run."""
 
 import importlib
 import importlib.util
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from flatknot import flow
-from flatknot.diagram import detect_crossings
+from flatknot.diagram import detect_crossings, diagram_faces, enumerate_cycles
 from flatknot.fixtures import trefoil_curve
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
@@ -45,3 +46,14 @@ def test_flow_step_positional_call():
 )
 def test_public_flow_signatures(fn, args):
     inspect.signature(fn).bind(*args)
+
+
+def test_diagram_records_read_by_workloads():
+    d = detect_crossings(trefoil_curve(128))
+    faces = diagram_faces(d)
+    assert len(faces) == d.n_crossings + 2
+    for edges, signed, walk in faces:
+        assert edges == frozenset(eid for eid, _ in walk) and isinstance(signed, float)
+    for cy in enumerate_cycles(d):
+        assert cy.polyline.shape[1] == 2 and cy.n_arcs >= 1
+        assert isinstance(cy.alternated, bool) and cy.area > 0

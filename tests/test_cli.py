@@ -83,6 +83,21 @@ class TestCyclesCmd:
         assert err["error"] == "cycle explosion"
         assert err["partial"] > 0
 
+    @pytest.mark.parametrize("fit", ["extra", "missing"])
+    def test_crossing_list_must_fit_curve(self, tmp_path, capsys, fit):
+        from flatknot.diagram import detect_crossings
+        from flatknot.jsonio import diagram_to_json
+
+        obj = diagram_to_json(detect_crossings(trefoil_curve(256)))
+        if fit == "extra":
+            obj["crossings"].append({"pos": [0.0, 0.0], "over": 6, "under": 7})
+        else:
+            obj["crossings"].pop()
+        path = tmp_path / "trefoil_diagram.json"
+        dump_json(obj, path)
+        assert main(["cycles", "--diagram", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_gstar(self, capsys):
         assert main(["cycles", "--gstar", "2"]) == 0
         census = json.loads(capsys.readouterr().out)

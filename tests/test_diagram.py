@@ -5,7 +5,7 @@ from math import factorial
 
 from flatknot.curve import ClosedCurve, resample_arclength
 from flatknot.diagram import (
-    cycle_area,
+    DiagramGraph,
     detect_crossings,
     diagram_faces,
     enumerate_cycles,
@@ -14,6 +14,7 @@ from flatknot.diagram import (
     mre,
     resistance_energy,
     shoelace_area,
+    signed_area,
 )
 from flatknot.errors import CodimensionOneError, CycleExplosionError, SingularDiagramError
 from flatknot.fixtures import (
@@ -114,10 +115,10 @@ class TestDetect:
 
     def test_edges_consistent(self, trefoil_diagram):
         d = trefoil_diagram
-        assert len(d.edges) == 6
-        for e in d.edges:
-            start = d.crossings[d.passage_crossing[e.start_passage]].position
-            end = d.crossings[d.passage_crossing[e.end_passage]].position
+        assert len(d.graph.edges) == 6
+        for e in d.graph.edges:
+            start = d.crossings[e.end0[0]].position
+            end = d.crossings[e.end1[0]].position
             assert np.hypot(*(e.points[0] - start)) < 1e-9
             assert np.hypot(*(e.points[-1] - end)) < 1e-9
 
@@ -143,6 +144,24 @@ class TestDetect:
     def test_alternating_rule(self, trefoil_diagram):
         for c in trefoil_diagram.crossings:
             assert {c.over_passage % 2, c.under_passage % 2} == {0, 1}
+
+    def test_relabelled_own_rule(self, trefoil_diagram):
+        d = trefoil_diagram
+        same = d.relabelled([c.first_over for c in d.crossings])
+        for a, b in zip(d.crossings, same.crossings):
+            assert (a.over_passage, a.under_passage) == (b.over_passage, b.under_passage)
+        assert same.graph.over_strand == d.graph.over_strand
+        assert same.graph.edges is d.graph.edges
+
+    def test_relabelled_flips_and_checks_length(self, trefoil_diagram):
+        d = trefoil_diagram
+        flipped = d.relabelled([not c.first_over for c in d.crossings])
+        for a, b in zip(d.crossings, flipped.crossings):
+            assert (a.over_passage, a.under_passage) == (b.under_passage, b.over_passage)
+        assert flipped.graph.over_strand == [1 - s for s in d.graph.over_strand]
+        for rule in ([True] * 2, [True] * 4):
+            with pytest.raises(ValueError):
+                d.relabelled(rule)
 
 
 class TestEnumerate:
@@ -191,7 +210,7 @@ class TestEnumerate:
     def test_orientation_involution(self, idx):
         pool = random_immersed_curves(13, seed=31, n=200)
         c, d = pool[idx]
-        rev = detect_crossings(c.reversed(), "alternate")
+        rev = detect_crossings(c.reversed())
         sig = sorted((cy.n_arcs, round(cy.area, 8)) for cy in enumerate_cycles(d))
         sig_rev = sorted((cy.n_arcs, round(cy.area, 8)) for cy in enumerate_cycles(rev))
         assert sig == sig_rev
@@ -208,11 +227,16 @@ class TestEnumerate:
 class TestAreas:
     def test_circle_area(self):
         cy = enumerate_cycles(detect_crossings(circle_curve(512)))[0]
-        assert cycle_area(cy) == pytest.approx(np.pi, abs=1e-4)
+        assert cy.area == pytest.approx(np.pi, abs=1e-4)
 
     def test_unit_square(self):
         sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         assert shoelace_area(sq) == 1.0
+        assert signed_area(sq) == 1.0 and signed_area(sq[::-1]) == -1.0
+
+    def test_small_square_far_from_origin(self):
+        sq = 1e-4 * np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float) + 100.0
+        assert shoelace_area(sq) == pytest.approx(1e-8, rel=1e-9, abs=0)
 
     def test_trefoil_center_vs_triangulation(self, trefoil_diagram):
         cycles = [cy for cy in enumerate_cycles(trefoil_diagram) if cy.n_arcs == 3]
@@ -240,7 +264,7 @@ class TestResistanceEnergies:
         sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         curve = resample_arclength(sq, 64)
         d = detect_crossings(curve)
-        zero = type(d)(ClosedCurve(np.zeros((8, 2)) + np.arange(8)[:, None] * 1e-16, 1.0), [], [])
+        zero = type(d)(ClosedCurve(np.zeros((8, 2)) + np.arange(8)[:, None] * 1e-16, 1.0), [], DiagramGraph(0, []))
         with pytest.raises(SingularDiagramError, match="singular diagram"):
             resistance_energy(zero)
 
@@ -316,7 +340,7 @@ class TestGmre:
 class TestFaces:
     def test_euler_formula(self, trefoil_diagram):
         faces = diagram_faces(trefoil_diagram)
-        v, e = trefoil_diagram.n_crossings, len(trefoil_diagram.edges)
+        v, e = trefoil_diagram.n_crossings, len(trefoil_diagram.graph.edges)
         assert v - e + len(faces) == 2
 
     def test_area_balance(self, trefoil_diagram):
@@ -329,4 +353,4 @@ class TestFaces:
         pool = random_immersed_curves(11, seed=77, n=200)
         _, d = pool[idx]
         faces = diagram_faces(d)
-        assert d.n_crossings - len(d.edges) + len(faces) == 2
+        assert d.n_crossings - len(d.graph.edges) + len(faces) == 2

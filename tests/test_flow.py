@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from flatknot.curve import TWO_PI, gauss_from_curve, resample_arclength
-from flatknot.diagram import detect_crossings, enumerate_cycles, shoelace_area
-from flatknot.errors import StalledError
+from flatknot import flow
+from flatknot.diagram import detect_crossings, enumerate_cycles, resistance_energy, shoelace_area
+from flatknot.errors import SingularDiagramError, StalledError
 from flatknot.fixtures import (
     bigon_pair,
     circle_curve,
@@ -15,6 +16,9 @@ from flatknot.fixtures import (
 )
 from flatknot.flow import (
     FlowConfig,
+    _cycle_vertex_specs,
+    _eval_resistance_on_points,
+    _inherited_rule,
     _resistance_gradient,
     classify_event,
     flow_step,
@@ -48,7 +52,7 @@ def r3_pair():
 
     def slid(eps):
         c = resample_arclength(pts + eps * bump[:, None] * normal, 512)
-        return detect_crossings(c.scaled(TWO_PI / c.length), [True] * 3)
+        return detect_crossings(c.scaled(TWO_PI / c.length)).relabelled([True] * 3)
 
     return slid(-0.1), slid(0.1)
 
@@ -83,7 +87,7 @@ class TestResistanceGradient:
         gradient: it matches central differences of 1/A in angle space,
         taken on an independent complex-valued trapezoid integration."""
         c = ellipse_curve(128)
-        d = detect_crossings(c, "alternate")
+        d = detect_crossings(c)
         assert d.n_crossings == 0 and c.length == pytest.approx(TWO_PI)
         g = gauss_from_curve(c)
         got = project_closure(g, _resistance_gradient(g, d, resistance_breakdown(d, FlowConfig(resistance="RE"))))
@@ -105,6 +109,36 @@ class TestResistanceGradient:
         want = project_closure(g, fd / h)
         assert gradient_norm(g, want) > 0.1
         assert gradient_norm(g, got - want) <= 1e-6 * gradient_norm(g, want)
+
+    def test_zero_area_frozen_cycle_raises(self, trefoil_diagram):
+        d = trefoil_diagram
+        specs = _cycle_vertex_specs(d, resistance_energy(d).cycles)
+        with pytest.raises(SingularDiagramError, match="singular diagram"):
+            _eval_resistance_on_points(d.curve.points * 1e-7, d, specs, None)
+
+    def test_relax_ends_singular(self, monkeypatch):
+        def singular(x, cfg):
+            raise SingularDiagramError("singular diagram: zero-area frozen cycle")
+
+        monkeypatch.setattr(flow, "_projected_gradient", singular)
+        tr = relax(trefoil_curve(128), FlowConfig(resistance="RE"))
+        assert tr.terminated == "singular"
+        assert len(tr.energies) == 1 and tr.final_curve is not None
+
+
+class TestInheritedRule:
+    def test_detects_once(self, trefoil_diagram, monkeypatch):
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return detect_crossings(c)
+
+        monkeypatch.setattr(flow, "detect_crossings", counted)
+        prev = trefoil_diagram.relabelled([True] * 3)
+        d = _inherited_rule(prev, trefoil_diagram.curve, 0.1)
+        assert len(calls) == 1
+        assert [c.first_over for c in d.crossings] == [True] * 3
 
 
 class TestFlowStep:
@@ -167,9 +201,8 @@ class TestClassify:
         assert ev.crossing_delta == -1
 
     def test_crossing_flip_forbidden(self, trefoil_diagram):
-        flipped = detect_crossings(
-            trefoil_diagram.curve,
-            [c.over_passage != min(c.passages) for c in trefoil_diagram.crossings],
+        flipped = detect_crossings(trefoil_diagram.curve).relabelled(
+            [c.over_passage != min(c.passages) for c in trefoil_diagram.crossings]
         )
         ev = classify_event(trefoil_diagram, flipped, radius=0.3)
         assert ev.kind == "FORBIDDEN"
@@ -194,7 +227,7 @@ class TestRelax:
     def test_trefoil_keeps_small_cycles(self):
         cfg = FlowConfig(resistance="MRE", delta=0.2, step0=1e-4, grad_tol=1e-4, max_iters=400)
         tr = relax(trefoil_curve(192), cfg)
-        final = detect_crossings(tr.final_curve, "alternate")
+        final = detect_crossings(tr.final_curve)
         crit = [cy for cy in enumerate_cycles(final) if cy.alternated and cy.area < cfg.delta]
         assert len(crit) >= 1
         assert not any(ev.kind == "FORBIDDEN" for ev in tr.events)
