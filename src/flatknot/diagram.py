@@ -544,22 +544,15 @@ def mre(d: KnotDiagram, delta: float, max_cycles: int = DEFAULT_CYCLE_LIMIT) -> 
     return _breakdown(cycles, "MRE", delta)
 
 
-def gmre(
-    d: KnotDiagram,
-    delta: float,
-    include_nonalternated_four_arc: bool = True,
-    max_cycles: int = DEFAULT_CYCLE_LIMIT,
-) -> EnergyBreakdown:
+def gmre(d: KnotDiagram, delta: float, max_cycles: int = DEFAULT_CYCLE_LIMIT) -> EnergyBreakdown:
     """Genericity modification: delta-critical alternated cycles with at
-    most 3 arcs, plus delta-critical 4-arc cycles (alternated or not by
-    default; see include_nonalternated_four_arc)."""
+    most 3 arcs, plus every delta-critical 4-arc cycle, alternated or not."""
     if delta <= 0 and not np.isinf(delta):
         raise ValueError("delta must be positive")
     cycles = [
         cy
         for cy in enumerate_cycles(d, area_cap=delta, arc_cap=4, max_cycles=max_cycles)
-        if cy.n_arcs <= 3 and cy.alternated
-        or cy.n_arcs == 4 and (include_nonalternated_four_arc or cy.alternated)
+        if cy.n_arcs <= 3 and cy.alternated or cy.n_arcs == 4
     ]
     dlt = None if np.isinf(delta) else delta
     bd = _breakdown(cycles, "GMRE", dlt)

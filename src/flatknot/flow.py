@@ -2,9 +2,10 @@
 event detection and the bounded-GMRE knot-type monitor.
 
 The descent lives in angle space: the step direction is the analytic
-bending gradient plus a finite-difference resistance gradient evaluated
-on the frozen cycle set of the current diagram, projected off the two
-closure directions.  Every accepted iterate is re-closed and integrated
+bending gradient plus the exact resistance gradient of the frozen cycle
+set of the current diagram (one reverse pass through the shoelace areas,
+the crossing points and the trapezoid integration), projected off the
+two closure directions.  Every accepted iterate is re-closed and integrated
 at unit speed, so it has length 2pi, and carries its U_f value and its
 resistance breakdown, whose cycles are the next frozen set.  Over/under
 data is inherited across iterates by spatial matching; census changes
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -26,11 +28,11 @@ from .diagram import (
     gmre,
     mre,
     resistance_energy,
+    signed_area,
 )
 from .errors import CodimensionOneError, SingularDiagramError, StalledError
 from .uniformization import EnergyFunctional, F_X2, energy_uf, gradient_norm, project_closure, uf_gradient
 
-_FD_ALPHA = 1e-6  # finite-difference step for the resistance gradient
 _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-12
 _STEP_GROWTH = 1.5
@@ -124,85 +126,75 @@ def _measure(g: GaussRep, curve: ClosedCurve, diagram: KnotDiagram, cfg: FlowCon
 # ---------------------------------------------------------------------------
 
 
-def _cycle_vertex_specs(d: KnotDiagram, cycles):
-    """Index structure of each cycle polyline: ('x', crossing) and ('p', point)."""
-    specs = []
-    for cy in cycles:
-        if d.n_crossings == 0:
-            specs.append([("p", i) for i in range(d.curve.n)])
-            continue
-        spec = []
-        for eid, fwd in zip(cy.edge_ids, cy.orientations):
-            e = d.graph.edges[eid]
-            if fwd:
-                spec.append(("x", e.end0[0]))
-                spec.extend(("p", i) for i in e.interior_indices)
-            else:
-                spec.append(("x", e.end1[0]))
-                spec.extend(("p", i) for i in reversed(e.interior_indices))
-        specs.append(spec)
-    return specs
+def _cross(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _eval_resistance_on_points(points, d: KnotDiagram, specs, delta):
-    """Resistance of the frozen cycle set for perturbed sample points.
-
-    points has shape (..., N, 2); returns an array of shape (...) of
-    sums of 1/A (or 1/A - 1/delta when delta is finite).
-    """
-    pts = np.asarray(points, dtype=float)
-    batch = pts.shape[:-2]
-    n = pts.shape[-2]
-    # crossing positions from their defining segment pairs
-    cross_pos = []
-    for (i, j) in d.crossing_segments:
-        a = pts[..., i, :]
-        b = pts[..., (i + 1) % n, :]
-        c = pts[..., j, :]
-        dd = pts[..., (j + 1) % n, :]
-        d1 = b - a
-        d2 = dd - c
-        rel = c - a
-        denom = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-        t = (rel[..., 0] * d2[..., 1] - rel[..., 1] * d2[..., 0]) / denom
-        cross_pos.append(a + t[..., None] * d1)
-    total = np.zeros(batch)
-    for spec in specs:
-        m = len(spec)
-        vx = np.empty(batch + (m,))
-        vy = np.empty(batch + (m,))
-        for idx, (kind, val) in enumerate(spec):
-            src = cross_pos[val] if kind == "x" else pts[..., val, :]
-            vx[..., idx] = src[..., 0]
-            vy[..., idx] = src[..., 1]
-        area = 0.5 * np.abs(
-            np.sum(vx * np.roll(vy, -1, axis=-1) - vy * np.roll(vx, -1, axis=-1), axis=-1)
-        )
-        if not np.all(area > 1e-12):
-            raise SingularDiagramError("singular diagram: zero-area frozen cycle")
-        total = total + (1.0 / area if delta is None else 1.0 / area - 1.0 / delta)
-    return total
+def _cycle_vertex_ids(d: KnotDiagram, cy, n: int) -> np.ndarray:
+    """Vertices of a cycle polyline: k for curve sample k, n + c for crossing c."""
+    if d.n_crossings == 0:
+        return np.arange(n)
+    ids = []
+    for eid, fwd in zip(cy.edge_ids, cy.orientations):
+        e = d.graph.edges[eid]
+        if fwd:
+            ids.append(n + e.end0[0])
+            ids.extend(e.interior_indices)
+        else:
+            ids.append(n + e.end1[0])
+            ids.extend(reversed(e.interior_indices))
+    return np.array(ids)
 
 
 def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
-    """Central finite differences, in angle space, of the resistance of
-    the frozen cycle set bd.cycles.
+    """Exact gradient, in angle space, of the resistance of the frozen
+    cycle set bd.cycles, by one reverse pass.
 
-    Returned in the L^2 convention used by uf_gradient (divide the
-    Euclidean partials by the arclength step).
+    The cycles are evaluated on the samples that trapezoid_points gives
+    for g, each crossing at the intersection X = a + t d1 of its two
+    segments [a, b] and [c, e].  The pass takes each 1/A to its vertices
+    by the shoelace, each crossing's share to its four segment endpoints,
+    and the samples' cotangents back through the trapezoid sums to the
+    angles.  Returned in the L^2 convention used by uf_gradient (divide
+    the Euclidean partials by the arclength step).
     """
     n = g.n
     if not bd.cycles:
         return np.zeros(n)
-    specs = _cycle_vertex_specs(d, bd.cycles)
-    batch = np.tile(g.alpha, (2 * n, 1))
-    idx = np.arange(n)
-    batch[2 * idx, idx] += _FD_ALPHA
-    batch[2 * idx + 1, idx] -= _FD_ALPHA
-    pts = trapezoid_points(batch, g.base_point, g.length)[..., :-1, :]
-    vals = _eval_resistance_on_points(pts, d, specs, bd.delta)
-    grad_euclid = (vals[0::2] - vals[1::2]) / (2.0 * _FD_ALPHA)
-    return grad_euclid / (g.length / n)
+    pts = trapezoid_points(g.alpha, g.base_point, g.length)[:-1]
+    i, j = np.array(d.crossing_segments, dtype=int).reshape(-1, 2).T
+    a, b, c, e = pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]
+    d1, d2 = b - a, e - c
+    denom = _cross(d1, d2)
+    t = _cross(c - a, d2) / denom
+    u = _cross(c - a, d1) / denom
+    verts = np.vstack([pts, a + t[:, None] * d1])
+    cot = np.zeros_like(verts)
+    for cy in bd.cycles:
+        ids = _cycle_vertex_ids(d, cy, n)
+        poly = verts[ids]
+        s = signed_area(poly)
+        if not abs(s) > 1e-12:
+            raise SingularDiagramError("singular diagram: zero-area frozen cycle")
+        nxt, prv = np.roll(poly, -1, axis=0), np.roll(poly, 1, axis=0)
+        # d(1/A)/dv = -1/A^2 * sign(s)/2 * (y+ - y-, x- - x+)
+        dv = np.column_stack([nxt[:, 1] - prv[:, 1], prv[:, 0] - nxt[:, 0]])
+        np.add.at(cot, ids, (-0.5 * np.sign(s) / s**2) * dv)
+    gx, gp = cot[n:], cot[:n]
+    k1 = np.sum(gx * d2, axis=1) / _cross(d2, d1)
+    k2 = np.sum(gx * d1, axis=1) / denom
+    m1 = np.column_stack([d1[:, 1], -d1[:, 0]])
+    m2 = np.column_stack([d2[:, 1], -d2[:, 0]])
+    np.add.at(gp, i, ((1 - t) * k1)[:, None] * m1)
+    np.add.at(gp, (i + 1) % n, (t * k1)[:, None] * m1)
+    np.add.at(gp, j, ((1 - u) * k2)[:, None] * m2)
+    np.add.at(gp, (j + 1) % n, (u * k2)[:, None] * m2)
+    # p[k] = base + h/2 sum_{m<k} (T[m] + T[m+1]): dR/dT_m is h/2 times the
+    # cotangent sum over k > m plus, for m >= 1, over k >= m
+    tail = np.cumsum(gp[::-1], axis=0)[::-1]
+    dt = tail - gp
+    dt[1:] += tail[1:]
+    return 0.5 * (dt[:, 1] * np.cos(g.alpha) - dt[:, 0] * np.sin(g.alpha))
 
 
 def _projected_gradient(x: _Iterate, cfg: FlowConfig) -> np.ndarray:
@@ -350,16 +342,29 @@ def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
     raise StalledError("stalled")
 
 
+def _start(c: ClosedCurve, cfg: FlowConfig, diagram: KnotDiagram | None = None) -> _Iterate:
+    """The iterate a flow steps from: c scaled to length 2pi, its angles
+    re-closed and integrated, and the crossings detected on that curve.
+    A supplied diagram lends only its over/under bits, in order of first
+    passage."""
+    if abs(c.length - TWO_PI) > 1e-8:
+        c = c.scaled(TWO_PI / c.length)
+    g = GaussRep(_reclose_alpha(gauss_from_curve(c).alpha, TWO_PI), c.points[0], TWO_PI)
+    curve = _integrate_alpha(g.alpha, g.base_point)
+    d = detect_crossings(curve)
+    if diagram is not None:
+        d = d.relabelled(cr.first_over for cr in diagram.crossings)
+    return _measure(g, curve, d, cfg)
+
+
 def flow_step(c: ClosedCurve, cfg: FlowConfig, step: float, diagram: KnotDiagram | None = None):
-    """One backtracking line-search step; returns (new curve, accepted step).
+    """One backtracking line-search step from the iterate `relax` would
+    start from; returns (new curve, accepted step).
 
     Energy is non-increasing (Armijo factor 1e-4); a step underflow below
     1e-12 raises StalledError("stalled").
     """
-    if diagram is None:
-        diagram = detect_crossings(c)
-    g = GaussRep(_reclose_alpha(gauss_from_curve(c).alpha, TWO_PI), c.points[0], TWO_PI)
-    x = _measure(g, c, diagram, cfg)
+    x = _start(c, cfg, diagram)
     y, s = _step_from_alpha(x, _projected_gradient(x, cfg), cfg, step)
     return y.curve, s
 
@@ -454,20 +459,14 @@ def classify_event(
 
 
 def _changed_crossings(seq_b, seq_a, pairs, before, after):
-    """After-crossing ids whose removal reconciles the two sequences."""
-    from itertools import combinations
-
+    """The three after-crossing ids whose removal reconciles the two sequences."""
     label_to_after = {}
     for i, j in pairs:
         label_to_after[f"b{i}"] = j
-    labels = sorted(set(seq_b))
-    for r in (3,):
-        for combo in combinations(labels, r):
-            drop = set(combo)
-            if _cyclic_equal(
-                [x for x in seq_b if x not in drop], [x for x in seq_a if x not in drop]
-            ):
-                return [label_to_after[lbl] for lbl in combo]
+    for combo in combinations(sorted(set(seq_b)), 3):
+        drop = set(combo)
+        if _cyclic_equal([x for x in seq_b if x not in drop], [x for x in seq_a if x not in drop]):
+            return [label_to_after[lbl] for lbl in combo]
     return []
 
 
@@ -487,26 +486,20 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
     numerical critical point); a frozen cycle of zero area ends the flow
     with terminated = "singular".
     """
-    curve = c0
-    if abs(curve.length - TWO_PI) > 1e-8:
-        curve = curve.scaled(TWO_PI / curve.length)
     trace = FlowTrace()
-    g = GaussRep(_reclose_alpha(gauss_from_curve(curve).alpha, TWO_PI), curve.points[0], TWO_PI)
     try:
-        curve = _integrate_alpha(g.alpha, g.base_point)
-        diagram = detect_crossings(curve)
+        x = _start(c0, cfg)
     except (CodimensionOneError, StalledError):
-        trace.final_curve = curve
+        trace.final_curve = c0
         trace.terminated = "singular"
         return trace
-    x = _measure(g, curve, diagram, cfg)
     step = cfg.step0
-    last_whitney = _safe_whitney(curve)
+    last_whitney = _safe_whitney(x.curve)
 
     for it in range(cfg.max_iters):
         trace.energies.append((it, x.u, x.resistance.total, x.total))
         trace.crossing_counts.append(x.diagram.n_crossings)
-        trace.gmre_values.append(gmre(x.diagram, cfg.delta).total if x.diagram.n_crossings else 0.0)
+        trace.gmre_values.append(_monitor(x, cfg) if x.diagram.n_crossings else 0.0)
         if keyframe_cb is not None:
             keyframe_cb(it, x.curve)
 
@@ -536,7 +529,7 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
                 trace.energies.append((it + 1, y.u, y.resistance.total, y.total))
                 trace.crossing_counts.append(y.diagram.n_crossings)
                 try:
-                    trace.gmre_values.append(gmre(y.diagram, cfg.delta).total)
+                    trace.gmre_values.append(_monitor(y, cfg))
                 except SingularDiagramError:
                     trace.gmre_values.append(np.inf)
                 trace.terminated = "forbidden_event"
@@ -555,6 +548,12 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
 
     trace.final_curve = x.curve
     return trace
+
+
+def _monitor(x: _Iterate, cfg: FlowConfig) -> float:
+    """The GMRE monitor value of an iterate; under resistance="GMRE" it is
+    the breakdown the iterate already carries."""
+    return x.resistance.total if cfg.resistance == "GMRE" else gmre(x.diagram, cfg.delta).total
 
 
 def _safe_whitney(curve: ClosedCurve):

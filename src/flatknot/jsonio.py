@@ -1,7 +1,6 @@
 """JSON wire formats.
 
 Curve JSON:    {"points": [[x, y], ...], "length": L}
-Gauss JSON:    {"alpha": [...], "base": [x, y]}
 Diagram JSON:  {"curve": CurveJSON, "crossings": [{"pos": [x, y], "over": i, "under": j}]}
 Census JSON:   {"counts_by_arcs": {...}, "alternated": k, "total": m}
 Energy report: {"functional": name, "value": v, "gradient_norm": n, "el": {...}}
@@ -15,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from .curve import ClosedCurve, GaussRep
+from .curve import ClosedCurve
 from .diagram import EnergyBreakdown, KnotDiagram, detect_crossings
 
 
@@ -25,14 +24,6 @@ def curve_to_json(c: ClosedCurve) -> dict:
 
 def curve_from_json(obj: dict) -> ClosedCurve:
     return ClosedCurve(np.asarray(obj["points"], dtype=float), float(obj["length"]))
-
-
-def gauss_to_json(g: GaussRep) -> dict:
-    return {"alpha": g.alpha.tolist(), "base": g.base_point.tolist()}
-
-
-def gauss_from_json(obj: dict) -> GaussRep:
-    return GaussRep(np.asarray(obj["alpha"], dtype=float), np.asarray(obj["base"], dtype=float))
 
 
 def diagram_to_json(d: KnotDiagram) -> dict:

@@ -369,5 +369,5 @@ def run_checks(only: str | None = None, out=print) -> list[CheckResult]:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         res = CheckResult(name, group, passed, detail, time.time() - t0)
         results.append(res)
-        out(f"{'PASS' if res.passed else 'FAIL'}  {res.name:<26} {res.detail}")
+        out(f"{'PASS' if res.passed else 'FAIL'}  {res.name:<26} {res.seconds:7.2f} s  {res.detail}")
     return results

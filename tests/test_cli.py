@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from flatknot import verify
 from flatknot.cli import main
 from flatknot.curve import hausdorff_distance
 from flatknot.fixtures import limacon_curve, noisy_circle, trefoil_curve
@@ -155,6 +156,13 @@ class TestVerifyCmd:
         assert "c01-xi-root" in out
         assert "c07-parity" in out
         assert "c08-elliptic-identities" in out
+
+    def test_prints_each_check_time(self):
+        lines = []
+        results = verify.run_checks(only="pendulum", out=lines.append)
+        assert len(lines) == len(results) == 3
+        for line, res in zip(lines, results):
+            assert line.startswith(f"PASS  {res.name:<26} {res.seconds:7.2f} s  {res.detail}")
 
     def test_unknown_group(self, capsys):
         assert main(["verify", "--only", "nonsense"]) == 2

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from flatknot.curve import TWO_PI, gauss_from_curve, resample_arclength
+from flatknot.curve import TWO_PI, ClosedCurve, GaussRep, gauss_from_curve, resample_arclength, trapezoid_points
 from flatknot import flow
-from flatknot.diagram import detect_crossings, enumerate_cycles, resistance_energy, shoelace_area
+from flatknot.diagram import detect_crossings, enumerate_cycles, gmre, resistance_energy, shoelace_area
 from flatknot.errors import SingularDiagramError, StalledError
 from flatknot.fixtures import (
     bigon_pair,
@@ -12,12 +12,11 @@ from flatknot.fixtures import (
     limacon_curve,
     noisy_circle,
     noisy_figure_eight,
+    random_immersed_curves,
     trefoil_curve,
 )
 from flatknot.flow import (
     FlowConfig,
-    _cycle_vertex_specs,
-    _eval_resistance_on_points,
     _inherited_rule,
     _resistance_gradient,
     classify_event,
@@ -110,11 +109,44 @@ class TestResistanceGradient:
         assert gradient_norm(g, want) > 0.1
         assert gradient_norm(g, got - want) <= 1e-6 * gradient_norm(g, want)
 
+    @pytest.mark.parametrize(
+        "curve, families",
+        [(trefoil_curve(128), ("RE",))]
+        + [(c, ("RE", "MRE", "GMRE")) for c, _ in random_immersed_curves(3, seed=3, n=96)],
+        ids=["trefoil", "random0", "random1", "random2"],
+    )
+    def test_matches_public_path_finite_differences(self, curve, families):
+        """The reverse pass against central differences (step 1e-5) of the
+        resistance through the public path: integrate the angles, detect
+        the crossings with the same over/under bits and evaluate."""
+        g = gauss_from_curve(curve)
+        d = detect_crossings(ClosedCurve(trapezoid_points(g.alpha, g.base_point, g.length)[:-1], g.length))
+        rule = [cr.first_over for cr in d.crossings]
+        cfgs = [FlowConfig(resistance=fam, delta=0.5) for fam in families]
+
+        def resistances(alpha):
+            pts = trapezoid_points(alpha, g.base_point, g.length)[:-1]
+            dd = detect_crossings(ClosedCurve(pts, g.length)).relabelled(rule)
+            return np.array([resistance_breakdown(dd, cfg).total for cfg in cfgs])
+
+        eps = 1e-5
+        fd = np.empty((len(cfgs), g.n))
+        for m in range(g.n):
+            e = np.zeros(g.n)
+            e[m] = eps
+            fd[:, m] = (resistances(g.alpha + e) - resistances(g.alpha - e)) / (2 * eps)
+        for cfg, row in zip(cfgs, fd):
+            got = project_closure(g, _resistance_gradient(g, d, resistance_breakdown(d, cfg)))
+            want = project_closure(g, row / (g.length / g.n))
+            assert gradient_norm(g, want) > 1e-3, cfg.resistance
+            assert gradient_norm(g, got - want) <= 1e-6 * gradient_norm(g, want), cfg.resistance
+
     def test_zero_area_frozen_cycle_raises(self, trefoil_diagram):
         d = trefoil_diagram
-        specs = _cycle_vertex_specs(d, resistance_energy(d).cycles)
+        g = gauss_from_curve(d.curve)
+        tiny = GaussRep(g.alpha, g.base_point * 1e-7, g.length * 1e-7)
         with pytest.raises(SingularDiagramError, match="singular diagram"):
-            _eval_resistance_on_points(d.curve.points * 1e-7, d, specs, None)
+            _resistance_gradient(tiny, d, resistance_energy(d))
 
     def test_relax_ends_singular(self, monkeypatch):
         def singular(x, cfg):
@@ -151,10 +183,26 @@ class TestFlowStep:
         assert s > 0
 
     def test_critical_circle_barely_moves(self):
+        """The step moves nothing; the curve it steps from is the circle's
+        re-integrated angles, whose trapezoid chords are shorter by the
+        factor (pi/N)/tan(pi/N)."""
         cfg = FlowConfig(resistance="none", step0=1e-4)
         c = circle_curve(128)
         c1, _ = flow_step(c, cfg, cfg.step0)
-        assert np.abs(c1.points - c.points).max() < 1e-8
+        assert np.abs(c1.points - flow._start(c, cfg).curve.points).max() < 1e-8
+
+    def test_steps_from_the_start_iterate(self):
+        """flow_step steps from the curve relax starts from: re-closed,
+        integrated and detected, a supplied diagram lending only its
+        over/under bits.  On this curve the input's crossings fall on
+        other segment pairs than the integrated curve's."""
+        c, d = random_immersed_curves(6, seed=5, n=128)[1]
+        cfg = FlowConfig(resistance="RE", max_iters=2)
+        frames = []
+        relax(c, cfg, keyframe_cb=lambda it, cur: frames.append(cur))
+        for diagram in (None, d):
+            c1, _ = flow_step(c, cfg, cfg.step0, diagram)
+            assert np.array_equal(c1.points, frames[1].points)
 
     def test_perturbed_infinity_gradient_drops(self):
         cfg = FlowConfig(resistance="none", step0=1e-4, grad_tol=1e-12, max_iters=200)
@@ -242,6 +290,30 @@ class TestRelax:
         assert any(ev.kind == "FORBIDDEN" for ev in tr.events)
         # the knot-type theorem stays vacuous: the monitor blows up
         assert tr.max_gmre > 50.0
+
+    def test_gmre_monitor_reuses_the_breakdown(self, monkeypatch):
+        """Under GMRE the monitor reads the iterate's breakdown: gmre runs
+        once per measured iterate, and the values are those of a monitor
+        that recomputes gmre on each iterate's diagram."""
+        cfg = FlowConfig(resistance="GMRE", delta=0.5, max_iters=12)
+        calls, measured = [], []
+
+        def counted(d, delta):
+            calls.append(d)
+            return gmre(d, delta)
+
+        def measure(*args, _measure=flow._measure):
+            measured.append(args)
+            return _measure(*args)
+
+        monkeypatch.setattr(flow, "gmre", counted)
+        monkeypatch.setattr(flow, "_measure", measure)
+        tr = relax(trefoil_curve(128), cfg)
+        assert len(tr.gmre_values) == cfg.max_iters and tr.max_gmre > 0
+        assert len(calls) == len(measured)
+
+        monkeypatch.setattr(flow, "_monitor", lambda x, cfg: gmre(x.diagram, cfg.delta).total)
+        assert relax(trefoil_curve(128), cfg).gmre_values == tr.gmre_values
 
     def test_gmre_monitor_on_clean_run(self):
         cfg = FlowConfig(resistance="MRE", delta=0.1, step0=1e-4, grad_tol=5e-4, max_iters=120)

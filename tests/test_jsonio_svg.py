@@ -13,11 +13,8 @@ from flatknot.jsonio import (
     curve_to_json,
     diagram_from_json,
     diagram_to_json,
-    gauss_from_json,
-    gauss_to_json,
     write_trace_jsonl,
 )
-from flatknot.curve import gauss_from_curve
 from flatknot.svg import RenderSpec, curve_svg, diagram_svg
 
 
@@ -26,13 +23,6 @@ def test_curve_round_trip():
     back = curve_from_json(json.loads(json.dumps(curve_to_json(c))))
     assert np.allclose(back.points, c.points)
     assert back.length == c.length
-
-
-def test_gauss_round_trip():
-    g = gauss_from_curve(circle_curve(64))
-    back = gauss_from_json(json.loads(json.dumps(gauss_to_json(g))))
-    assert np.allclose(back.alpha, g.alpha)
-    assert np.allclose(back.base_point, g.base_point)
 
 
 def test_diagram_round_trip_preserves_over_under():
