@@ -21,7 +21,6 @@ from .curve import (
     whitney_index,
 )
 from .diagram import (
-    Arc,
     Crossing,
     DiagramCycle,
     Edge,
@@ -56,11 +55,9 @@ from .flow import (
 )
 from .lattice import (
     grid_cycle_count,
-    grid_cycle_count_backtracking,
     gstar_alternated_count,
     gstar_lower_bound,
     woven_fragment,
-    young_diagram_cycles,
 )
 from .pendulum import (
     EllipticValue,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .curve import gauss_from_curve, closure_report
-from .diagram import detect_crossings, enumerate_cycles, gmre, mre, resistance_energy
+from .diagram import detect_crossings, enumerate_cycles, enumerate_cycles_graph, gmre, mre, resistance_energy
 from .errors import (
     CodimensionOneError,
     CycleExplosionError,
@@ -122,8 +122,6 @@ def cmd_cycles(args) -> int:
             print(json.dumps({"total": grid_cycle_count(args.grid)}))
             return EXIT_OK
         if args.gstar is not None:
-            from .diagram import enumerate_cycles_graph
-
             cycles = enumerate_cycles_graph(woven_fragment(args.gstar + 1))
             print(json.dumps(census_to_json(cycles)))
             return EXIT_OK

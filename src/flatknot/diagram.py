@@ -8,6 +8,8 @@ edge set determines the turn/straight structure, so cycles are exactly
 the vertex-simple cycles of the underlying 4-valent multigraph; arcs are
 the maximal runs between turn crossings, and a cycle is alternated when
 every arc has one endpoint on an over-strand and one on an under-strand.
+The search counts the arcs and checks the alternation as it extends a
+path, from the turn and over/under bits of the darts it passes through.
 """
 
 from __future__ import annotations
@@ -58,35 +60,13 @@ class Edge(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Arc:
-    """Maximal run of a cycle between consecutive turn crossings.
-
-    Straight pass-through crossings are interior to the arc; each
-    endpoint records (crossing id, reached along the over-strand?).
-    """
-
-    edge_ids: tuple[int, ...]
-    interior_crossings: tuple[int, ...]
-    endpoints: tuple[tuple[int, bool], tuple[int, bool]]
-
-    @property
-    def alternated(self) -> bool:
-        return self.endpoints[0][1] != self.endpoints[1][1]
-
-
-@dataclass(frozen=True)
 class DiagramCycle:
     edge_ids: tuple[int, ...]
-    turn_crossings: tuple[int, ...]
-    arcs: tuple[Arc, ...]
-    area: float
+    orientations: tuple[bool, ...]  # per edge_ids entry: traversed forward?
+    n_arcs: int  # number of turn crossings, at least 1
     alternated: bool
+    area: float
     polyline: np.ndarray
-    orientations: tuple[bool, ...] = ()  # per edge_ids entry: traversed forward?
-
-    @property
-    def n_arcs(self) -> int:
-        return max(1, len(self.turn_crossings))
 
     @property
     def key(self) -> tuple[int, ...]:
@@ -125,10 +105,6 @@ class DiagramGraph:
                     raise ValueError(f"slot {s} of crossing {c} already wired")
                 self.slot_edge[c][s] = eid
         return eid
-
-    def other_end(self, eid: int, end) -> tuple | None:
-        e0, e1, _, _ = self.edges[eid]
-        return e1 if end == e0 else e0
 
     def edge_polyline(self, eid: int, forward: bool) -> np.ndarray:
         pts = self.edges[eid].points
@@ -327,21 +303,6 @@ class KnotDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _whole_curve_cycle(d: KnotDiagram) -> DiagramCycle:
-    # crossing-free diagram: the curve itself, one closed arc, vacuously
-    # alternated (convention recorded in the package docs)
-    poly = d.curve.points
-    return DiagramCycle(
-        edge_ids=(0,),
-        turn_crossings=(),
-        arcs=(),
-        area=shoelace_area(poly),
-        alternated=True,
-        polyline=poly,
-        orientations=(True,),
-    )
-
-
 def enumerate_cycles_graph(
     g: DiagramGraph,
     area_cap: float | None = None,
@@ -353,22 +314,42 @@ def enumerate_cycles_graph(
 
     DFS anchored at the minimal edge id of each cycle; the anchor is
     traversed in its stored orientation, so every cycle is produced
-    exactly once.  arc_cap prunes on the running turn count.
+    exactly once.  At a turn the path arrives on one strand and leaves on
+    the other, so exactly one of the two is over: an arc is alternated
+    when the turns at its two ends are left on the same level, and a
+    cycle when all its turns are.  The search carries the turn count and
+    the set of levels its turns were left on; arc_cap prunes on the
+    running turn count.
     """
-    n_edges = len(g.edges)
-    allowed = set(range(n_edges)) if edge_subset is None else set(edge_subset)
+    allowed = set(range(len(g.edges))) if edge_subset is None else set(edge_subset)
+    # darts out of each crossing, in slot_edge order: (slot out, edge, forward?, arrival end)
+    darts = [[] for _ in range(g.n_crossings)]
+    for c, slots in enumerate(g.slot_edge):
+        for s_out, eid in slots.items():
+            e0, e1, _, _ = g.edges[eid]
+            if eid in allowed and e0 is not None and e1 is not None:
+                fwd = (c, s_out) == e0
+                darts[c].append((s_out, eid, fwd, e1 if fwd else e0))
+    over = g.over_strand
     found: list[DiagramCycle] = []
 
-    def strand(end):
-        return _SLOT_STRAND[end[1]]
+    def passed(c, s_in, s_out, turns, levels):
+        """Turn count and levels (bit 1: left over, bit 0: left under)
+        after passing crossing c from slot s_in to slot s_out."""
+        if _SLOT_STRAND[s_in] == _SLOT_STRAND[s_out]:
+            return turns, levels
+        return turns + 1, levels | 1 << (over[c] == _SLOT_STRAND[s_out])
 
-    def record(path):
-        cy = _cycle_from_path(g, path)
-        if arc_cap is not None and cy.n_arcs > arc_cap:
+    def record(turns, levels):
+        n_arcs = max(1, turns)
+        if arc_cap is not None and n_arcs > arc_cap:
             return
-        if area_cap is not None and cy.area >= area_cap:
+        poly = np.vstack([g.edge_polyline(eid, fwd)[:-1] for eid, fwd in path])
+        area = shoelace_area(poly)
+        if area_cap is not None and area >= area_cap:
             return
-        found.append(cy)
+        edge_ids, orientations = zip(*path)
+        found.append(DiagramCycle(edge_ids, orientations, n_arcs, levels != 3, area, poly))
         if len(found) > max_cycles:
             raise CycleExplosionError(
                 f"cycle explosion: more than {max_cycles} cycles", len(found)
@@ -379,97 +360,31 @@ def enumerate_cycles_graph(
         if end0 is None or end1 is None:
             continue
         c_home, s_home = end0
-        used_edges = {anchor}
         used_cross = set()
         path = [(anchor, True)]
 
-        def dfs(arrive_end, turns):
-            c, s_in = arrive_end
+        def dfs(c, s_in, turns, levels):
             if c == c_home:
-                record(path)
+                record(*passed(c, s_in, s_home, turns, levels))
                 return
             if c in used_cross:
                 return
             used_cross.add(c)
-            for s_out, eid in g.slot_edge[c].items():
-                if s_out == s_in or eid in used_edges or eid <= anchor or eid not in allowed:
+            for s_out, eid, fwd, (c_next, s_next) in darts[c]:
+                if s_out == s_in or eid <= anchor:
                     continue
-                nxt = g.other_end(eid, (c, s_out))
-                if nxt is None:
-                    continue
-                t2 = turns + (1 if _SLOT_STRAND[s_out] != _SLOT_STRAND[s_in] else 0)
+                t2, l2 = passed(c, s_in, s_out, turns, levels)
                 if arc_cap is not None and t2 > arc_cap:
                     continue
-                used_edges.add(eid)
-                e0, _, _, _ = g.edges[eid]
-                path.append((eid, (c, s_out) == e0))
-                dfs(nxt, t2)
+                path.append((eid, fwd))
+                dfs(c_next, s_next, t2, l2)
                 path.pop()
-                used_edges.discard(eid)
             used_cross.discard(c)
 
-        dfs(end1, 0)
+        dfs(*end1, 0, 0)
 
     found.sort(key=lambda cy: (cy.n_arcs, cy.key))
     return found
-
-
-def _cycle_from_path(g: DiagramGraph, path) -> DiagramCycle:
-    """Build the DiagramCycle for a closed dart path."""
-    ends = []  # per step: (crossing, slot_in, slot_out) at the crossing between steps
-    k = len(path)
-    for idx in range(k):
-        eid, fwd = path[idx]
-        e0, e1, _, _ = g.edges[eid]
-        arrive = e1 if fwd else e0
-        nid, nfwd = path[(idx + 1) % k]
-        n0, n1, _, _ = g.edges[nid]
-        depart = n0 if nfwd else n1
-        assert arrive[0] == depart[0]
-        ends.append((arrive[0], arrive[1], depart[1]))
-
-    turn_flags = [_SLOT_STRAND[s_in] != _SLOT_STRAND[s_out] for _, s_in, s_out in ends]
-    turn_crossings = tuple(ends[i][0] for i in range(k) if turn_flags[i])
-
-    # polyline
-    pieces = [g.edge_polyline(eid, fwd)[:-1] for eid, fwd in path]
-    poly = np.vstack(pieces)
-
-    # arcs: split the dart sequence at turn crossings
-    arcs = []
-    if turn_crossings:
-        turn_positions = [i for i in range(k) if turn_flags[i]]
-        for a_i, start in enumerate(turn_positions):
-            end = turn_positions[(a_i + 1) % len(turn_positions)]
-            # the arc departs crossing ends[start] and arrives at ends[end]
-            steps = []
-            interior = []
-            j = start
-            while True:
-                j_next = (j + 1) % k
-                steps.append(path[j_next][0])
-                if j_next == end:
-                    break
-                interior.append(ends[j_next][0])
-                j = j_next
-            c_start, _, s_out = ends[start]
-            c_end, s_in, _ = ends[end]
-            start_over = g.over_strand[c_start] == _SLOT_STRAND[s_out]
-            end_over = g.over_strand[c_end] == _SLOT_STRAND[s_in]
-            arcs.append(
-                Arc(tuple(steps), tuple(interior), ((c_start, start_over), (c_end, end_over)))
-            )
-
-    alternated = all(a.alternated for a in arcs) if arcs else True
-    return DiagramCycle(
-        edge_ids=tuple(e for e, _ in path),
-        turn_crossings=turn_crossings,
-        arcs=tuple(arcs),
-        area=shoelace_area(poly),
-        alternated=alternated,
-        polyline=poly,
-        orientations=tuple(f for _, f in path),
-    )
 
 
 def enumerate_cycles(
@@ -480,7 +395,9 @@ def enumerate_cycles(
 ) -> list[DiagramCycle]:
     """Every embedded circle of the diagram, deduplicated and ordered."""
     if d.n_crossings == 0:
-        cy = _whole_curve_cycle(d)
+        # the curve itself, one closed arc, vacuously alternated
+        poly = d.curve.points
+        cy = DiagramCycle((0,), (True,), 1, True, shoelace_area(poly), poly)
         if area_cap is not None and cy.area >= area_cap:
             return []
         if arc_cap is not None and cy.n_arcs > arc_cap:
@@ -528,9 +445,7 @@ def mre(d: KnotDiagram, delta: float, max_cycles: int = DEFAULT_CYCLE_LIMIT) -> 
     if delta <= 0:
         raise ValueError("delta must be positive")
     if d.n_crossings == 0:
-        cy = _whole_curve_cycle(d)
-        cycles = [cy] if cy.area < delta else []
-        return _breakdown(cycles, "MRE", delta)
+        return _breakdown([cy for cy in enumerate_cycles(d, area_cap=delta) if cy.alternated], "MRE", delta)
 
     domains = _low_area_domains(d, delta)
     seen = {}

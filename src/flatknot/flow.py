@@ -255,58 +255,58 @@ def _integrate_alpha(alpha, base) -> ClosedCurve:
 def _inherited_rule(prev: KnotDiagram | None, curve: ClosedCurve, radius: float):
     """Detect crossings on `curve`, inheriting over/under from `prev`.
 
-    Matched crossings keep their overpass strand (matched by passage
-    parameter); unmatched new crossings put the earlier passage on top,
-    which is the consistent choice for an R2 pair.
+    Matched crossings keep their overpass strand; unmatched new crossings
+    put the earlier passage on top, which is the consistent choice for an
+    R2 pair.
     """
     base = detect_crossings(curve)
     if prev is None or prev.n_crossings == 0 or base.n_crossings == 0:
         return base
-    matched = {j: i for i, j in _match_crossings(prev, base, radius)}
-    rule = []
-    for j in range(base.n_crossings):
-        if j in matched:
-            i = matched[j]
-            # passage correspondence by cyclic parameter distance
-            rule.append(prev.crossings[i].first_over != _param_flip(prev, i, base, j))
-        else:
-            rule.append(True)
+    rule = [True] * base.n_crossings
+    for i, j, flip in _match_crossings(prev, base, radius):
+        rule[j] = prev.crossings[i].first_over != flip
     return base.relabelled(rule)
 
 
-def _cyc_dist(a: float, b: float) -> float:
-    r = abs(a - b) % TWO_PI
-    return min(r, TWO_PI - r)
-
-
-def _param_flip(d_old: KnotDiagram, i: int, d_new: KnotDiagram, j: int) -> bool:
-    """True when the new crossing's first passage matches the old second."""
-    o1, o2 = d_old.crossings[i].passages
-    n1, n2 = d_new.crossings[j].passages
-    po1, po2 = d_old.passage_params[o1], d_old.passage_params[o2]
-    pn1, pn2 = d_new.passage_params[n1], d_new.passage_params[n2]
-    straight = _cyc_dist(pn1, po1) + _cyc_dist(pn2, po2)
-    flipped = _cyc_dist(pn1, po2) + _cyc_dist(pn2, po1)
-    return flipped < straight
-
-
 def _match_crossings(before: KnotDiagram, after: KnotDiagram, radius: float):
-    """Greedy nearest-pair matching of crossing positions within radius."""
+    """Pairs (i, j, flip) of crossings of `before` and `after` on the same
+    two strands, nearest first.
+
+    A crossing is known by its pair of passage parameters, not by its
+    position.  The distance of two crossings is the larger of the two
+    strands' cyclic parameter distances, under the straight or the swapped
+    pairing of their passages, whichever is smaller; flip is true when the
+    swapped pairing is, that is when the after-crossing's first passage
+    lies on the before-crossing's second strand.  A move that displaces
+    the curve by `radius` in the plane slides a crossing of angle theta
+    about radius / sin(theta) along each strand; in parameter units (2pi
+    per curve length), with the smaller sin(theta) of the two crossings,
+    that is how far apart a matched pair may lie.
+    """
     if before.n_crossings == 0 or after.n_crossings == 0:
         return []
-    pb = np.array([c.position for c in before.crossings])
-    pa = np.array([c.position for c in after.crossings])
-    dist = np.hypot(*(pb[:, None, :] - pa[None, :, :]).transpose(2, 0, 1))
+
+    def params(d):
+        return np.array([[d.passage_params[p] for p in cr.passages] for cr in d.crossings])
+
+    def cyc(x, y):
+        r = np.abs(x[:, None] - y[None, :]) % TWO_PI
+        return np.minimum(r, TWO_PI - r)
+
+    pb, pa = params(before), params(after)
+    straight = np.maximum(cyc(pb[:, 0], pa[:, 0]), cyc(pb[:, 1], pa[:, 1]))
+    swapped = np.maximum(cyc(pb[:, 0], pa[:, 1]), cyc(pb[:, 1], pa[:, 0]))
+    dist = np.minimum(straight, swapped)
+    sin_b = np.sin([cr.transversality_angle for cr in before.crossings])
+    sin_a = np.sin([cr.transversality_angle for cr in after.crossings])
+    reach = radius * TWO_PI / before.curve.length / np.minimum(sin_b[:, None], sin_a[None, :])
     pairs = []
     used_b, used_a = set(), set()
-    order = np.dstack(np.unravel_index(np.argsort(dist, axis=None), dist.shape))[0]
-    for i, j in order:
-        i, j = int(i), int(j)
-        if dist[i, j] > radius:
-            break
-        if i in used_b or j in used_a:
+    for k in np.argsort(dist, axis=None, kind="stable"):
+        i, j = divmod(int(k), after.n_crossings)
+        if dist[i, j] > reach[i, j] or i in used_b or j in used_a:
             continue
-        pairs.append((i, j))
+        pairs.append((i, j, bool(swapped[i, j] < straight[i, j])))
         used_b.add(i)
         used_a.add(j)
     return pairs
@@ -402,14 +402,14 @@ def classify_event(
     """
     delta = after.n_crossings - before.n_crossings
     pairs = _match_crossings(before, after, radius)
-    matched_b = {i for i, _ in pairs}
-    matched_a = {j for _, j in pairs}
+    matched_b = {i for i, _, _ in pairs}
+    matched_a = {j for _, j, _ in pairs}
     gone = [i for i in range(before.n_crossings) if i not in matched_b]
     new = [j for j in range(after.n_crossings) if j not in matched_a]
 
     labels_b = {i: f"b{i}" for i in range(before.n_crossings)}
     labels_a = {j: "?" for j in range(after.n_crossings)}
-    for i, j in pairs:
+    for i, j, _ in pairs:
         labels_a[j] = labels_b[i]
 
     def location(ids, diagram):
@@ -442,15 +442,14 @@ def classify_event(
                 return FlowEvent(-1, "R2_vanish", location(gone, before), -2)
     if delta == 0 and not gone and not new:
         # crossing-type flips are forbidden
-        for i, j in pairs:
-            oa = after.crossings[j].first_over != _param_flip(before, i, after, j)
-            if before.crossings[i].first_over != oa:
+        for i, j, flip in pairs:
+            if before.crossings[i].first_over != (after.crossings[j].first_over != flip):
                 return FlowEvent(
                     -1, "FORBIDDEN", after.crossings[j].position.copy(), 0
                 )
         if _cyclic_equal(seq_a, seq_b):
             return None
-        moved = _changed_crossings(seq_b, seq_a, pairs, before, after)
+        moved = _changed_crossings(seq_b, seq_a, pairs)
         if len(moved) == 3 and cluster_ok(moved, after, 6 * radius):
             return FlowEvent(-1, "R3", location(moved, after), 0)
     kind_ids = new if new else gone
@@ -458,11 +457,9 @@ def classify_event(
     return FlowEvent(-1, "FORBIDDEN", location(kind_ids, diagram), delta)
 
 
-def _changed_crossings(seq_b, seq_a, pairs, before, after):
+def _changed_crossings(seq_b, seq_a, pairs):
     """The three after-crossing ids whose removal reconciles the two sequences."""
-    label_to_after = {}
-    for i, j in pairs:
-        label_to_after[f"b{i}"] = j
+    label_to_after = {f"b{i}": j for i, j, _ in pairs}
     for combo in combinations(sorted(set(seq_b)), 3):
         drop = set(combo)
         if _cyclic_equal([x for x in seq_b if x not in drop], [x for x in seq_a if x not in drop]):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .diagram import DiagramGraph, DiagramCycle, enumerate_cycles_graph
+from .diagram import DiagramGraph, enumerate_cycles_graph
 
 _TABLE_MAX_N = 6
 
@@ -21,8 +21,7 @@ def grid_cycle_count(n: int) -> int:
 
     Profile dynamic programming over vertices in row-major order: the
     state holds one bracket-matched plug per frontier position, a loop is
-    closed only when no other plug survives.  Runs in milliseconds; the
-    backtracking enumerator below serves as an independent oracle.
+    closed only when no other plug survives.  Runs in milliseconds.
     """
     if not 1 <= n <= _TABLE_MAX_N:
         raise ValueError(f"n out of supported range 1..{_TABLE_MAX_N}")
@@ -105,44 +104,6 @@ def grid_cycle_count(n: int) -> int:
     return total
 
 
-def grid_cycle_count_backtracking(n: int) -> int:
-    """Oracle: enumerate vertex-simple grid cycles by anchored DFS."""
-    size = n + 1
-    verts = size * size
-
-    def neighbors(v):
-        r, c = divmod(v, size)
-        out = []
-        if r > 0:
-            out.append(v - size)
-        if r < size - 1:
-            out.append(v + size)
-        if c > 0:
-            out.append(v - 1)
-        if c < size - 1:
-            out.append(v + 1)
-        return out
-
-    adj = [neighbors(v) for v in range(verts)]
-    count = 0
-
-    def dfs(start, v, visited):
-        nonlocal count
-        for w in adj[v]:
-            if w == start and len(visited) >= 3:
-                # close; orientation fixed by second vertex < last vertex
-                if visited[1] < v:
-                    count += 1
-            elif w > start and w not in visited:
-                visited.append(w)
-                dfs(start, w, visited)
-                visited.pop()
-
-    for start in range(verts):
-        dfs(start, start, [start])
-    return count
-
-
 def woven_fragment(strands: int) -> DiagramGraph:
     """Fabric of `strands` horizontal and `strands` vertical unit-spaced
     strands, checkerboard over/under: horizontal is over where the
@@ -184,45 +145,3 @@ def gstar_alternated_count(n: int) -> int:
 
 def gstar_lower_bound(n: int) -> int:
     return comb(n, n // 2) - 1
-
-
-def young_diagram_cycles(n: int) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
-    """Boundary cycles of the nonempty Young diagrams inside the n x n box.
-
-    Returns (partition, vertex loop) pairs; there are exactly
-    binomial(2n, n) - 1 of them.  Vertices are (row, col) lattice points
-    with row 0 at the top edge of the box.
-    """
-    shapes = []
-
-    def build(prefix, prev, rows_left):
-        if rows_left == 0 or prev == 0:
-            if prefix:
-                shapes.append(tuple(prefix))
-            return
-        for part in range(prev, 0, -1):
-            build(prefix + [part], part, rows_left - 1)
-        if prefix:
-            shapes.append(tuple(prefix))
-
-    build([], n, n)
-
-    out = []
-    for shape in sorted(set(shapes)):
-        loop = [(0, 0)]
-        # down the left edge, then staircase up-right along the profile
-        rows = len(shape)
-        for r in range(1, rows + 1):
-            loop.append((r, 0))
-        col = 0
-        for r in range(rows, 0, -1):
-            width = shape[r - 1]
-            if width > col:
-                for cc in range(col + 1, width + 1):
-                    loop.append((r, cc))
-                col = width
-            loop.append((r - 1, col))
-        for cc in range(col - 1, 0, -1):
-            loop.append((0, cc))
-        out.append((shape, loop))
-    return out

@@ -105,6 +105,14 @@ class TestCyclesCmd:
         assert census["total"] == 13
         assert census["alternated"] == 4
 
+    def test_gstar_full_census(self, capsys):
+        assert main(["cycles", "--gstar", "3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "counts_by_arcs": {"4": 36, "6": 64, "8": 74, "10": 32, "12": 7},
+            "alternated": 35,
+            "total": 213,
+        }
+
 
 class TestRelaxCmd:
     def test_noisy_circle(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from flatknot.diagram import (
     detect_crossings,
     diagram_faces,
     enumerate_cycles,
+    enumerate_cycles_graph,
     gamma_bound,
     gmre,
     mre,
@@ -22,6 +23,7 @@ from flatknot.fixtures import (
     random_immersed_curves,
     trefoil_curve,
 )
+from flatknot.lattice import woven_fragment
 
 TWO_PI = 2 * np.pi
 
@@ -95,6 +97,50 @@ def ear_clip_area(poly):
             raise RuntimeError("no ear found")
     a, b, c = pts
     return total + abs(cross(a, b, c)) / 2
+
+
+def split_into_arcs(g, cy):
+    """Oracle: a cycle's crossings and arcs, the slow way.
+
+    Walks the cycle's darts again and finds, at the crossing after each
+    dart, the slot of arrival and the slot of the next departure.  Returns
+    those (crossing, slot in, slot out) records and one (start over?, end
+    over?) pair per arc, an arc running from one turn crossing to the
+    next: it starts on the strand it leaves its first turn by and ends on
+    the strand it reaches its last turn by.
+    """
+    path = list(zip(cy.edge_ids, cy.orientations))
+    passes = []
+    for k, (eid, fwd) in enumerate(path):
+        e0, e1, _, _ = g.edges[eid]
+        nid, nfwd = path[(k + 1) % len(path)]
+        n0, n1, _, _ = g.edges[nid]
+        arrive, depart = (e1 if fwd else e0), (n0 if nfwd else n1)
+        assert arrive[0] == depart[0]
+        passes.append((arrive[0], arrive[1], depart[1]))
+    strand = lambda slot: slot // 2
+    turns = [k for k, (_, s_in, s_out) in enumerate(passes) if strand(s_in) != strand(s_out)]
+    arcs = []
+    for a, start in enumerate(turns):
+        c_start, _, s_out = passes[start]
+        c_end, s_in, _ = passes[turns[(a + 1) % len(turns)]]
+        arcs.append((g.over_strand[c_start] == strand(s_out), g.over_strand[c_end] == strand(s_in)))
+    return passes, arcs
+
+
+CAP_SETTINGS = [(None, None), (None, 4), (0.05, 4), (0.05, None)]
+
+
+def oracle_graphs():
+    """The trefoil, eight random curves each also relabelled with seeded
+    random over/under bits, and the woven fragments with 2..4 strands."""
+    rng = np.random.default_rng(5)
+    graphs = [("trefoil", detect_crossings(trefoil_curve(512)).graph)]
+    for k, (_, d) in enumerate(random_immersed_curves(8, seed=13, n=200)):
+        graphs.append((f"random{k}", d.graph))
+        graphs.append((f"random{k}-relabelled", d.relabelled(rng.random(d.n_crossings) < 0.5).graph))
+    graphs += [(f"woven{m}", woven_fragment(m)) for m in (2, 3, 4)]
+    return graphs
 
 
 class TestDetect:
@@ -197,10 +243,19 @@ class TestEnumerate:
 
     def test_each_crossing_once(self, trefoil_diagram):
         for cy in enumerate_cycles(trefoil_diagram):
-            used = list(cy.turn_crossings) + [
-                c for arc in cy.arcs for c in arc.interior_crossings
-            ]
+            used = [c for c, _, _ in split_into_arcs(trefoil_diagram.graph, cy)[0]]
             assert len(used) == len(set(used))
+
+    @pytest.mark.parametrize("area_cap,arc_cap", CAP_SETTINGS)
+    def test_carried_bits_match_arc_splitting(self, area_cap, arc_cap):
+        non_alternated = 0
+        for name, g in oracle_graphs():
+            for cy in enumerate_cycles_graph(g, area_cap, arc_cap):
+                _, arcs = split_into_arcs(g, cy)
+                assert cy.n_arcs == max(1, len(arcs)), name
+                assert cy.alternated == all(start != end for start, end in arcs), name
+                non_alternated += not cy.alternated
+        assert non_alternated > 0
 
     def test_cycles_embedded(self, trefoil_diagram):
         for cy in enumerate_cycles(trefoil_diagram):

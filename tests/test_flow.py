@@ -56,6 +56,27 @@ def r3_pair():
     return slid(-0.1), slid(0.1)
 
 
+def layered_triangle(b):
+    """The curve (b sin t + 2 sin 2t, b cos t - 2 cos 2t) from 512 samples
+    uniform in t, scaled to length 2pi.  At b = 2 its three strands S0, S1
+    and S2, passed near t = 0, 2pi/3 and 4pi/3, meet at the origin; off
+    b = 2 they form a small triangle, inverted between b < 2 and b > 2.
+    The labels layer the strands, S0 over S1 over S2, so moving b across
+    2 is an R3."""
+    t = np.linspace(0, TWO_PI, 512, endpoint=False)
+    pts = np.column_stack([b * np.sin(t) + 2 * np.sin(2 * t), b * np.cos(t) - 2 * np.cos(2 * t)])
+    length = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T).sum()
+    d = detect_crossings(ClosedCurve(pts * (TWO_PI / length), TWO_PI))
+    return d.relabelled(
+        triangle_strand(d, cr.passages[0]) < triangle_strand(d, cr.passages[1]) for cr in d.crossings
+    )
+
+
+def triangle_strand(d, p):
+    """The strand (0, 1 or 2) of `layered_triangle` that passage p lies on."""
+    return round(d.passage_params[p] / (TWO_PI / 3)) % 3
+
+
 class TestTotalEnergy:
     def test_round_circle(self):
         cfg = FlowConfig(resistance="MRE", delta=0.01)
@@ -237,6 +258,23 @@ class TestClassify:
 
     def test_r3(self):
         before, after = r3_pair()
+        ev = classify_event(before, after, radius=0.3)
+        assert ev.kind == "R3"
+        assert ev.crossing_delta == 0
+
+    @pytest.mark.parametrize("b0,b1", [(1.95, 2.05), (2.05, 1.95)])
+    def test_r3_inverted_triangle(self, b0, b1):
+        """The move inverts the triangle, so the nearest crossing after it
+        is another crossing; matched by their passage parameters, each
+        crossing keeps its two strands."""
+        before, after = layered_triangle(b0), layered_triangle(b1)
+
+        def strands(d, k):
+            return {triangle_strand(d, p) for p in d.crossings[k].passages}
+
+        pairs = flow._match_crossings(before, after, 0.3)
+        assert len(pairs) == 3
+        assert all(strands(before, i) == strands(after, j) for i, j, _ in pairs)
         ev = classify_event(before, after, radius=0.3)
         assert ev.kind == "R3"
         assert ev.crossing_delta == 0

@@ -5,11 +5,9 @@ from math import comb
 from flatknot.diagram import enumerate_cycles_graph
 from flatknot.lattice import (
     grid_cycle_count,
-    grid_cycle_count_backtracking,
     gstar_alternated_count,
     gstar_lower_bound,
     woven_fragment,
-    young_diagram_cycles,
 )
 
 PAPER_TABLE = {1: 1, 2: 13, 3: 213, 4: 9349, 5: 1222363}
@@ -25,7 +23,7 @@ class TestGridCounts:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_backtracking_oracle(self, n):
-        assert grid_cycle_count_backtracking(n) == grid_cycle_count(n)
+        assert len(grid_cycles_as_loops(n)) == grid_cycle_count(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fragment_enumeration_agrees(self, n):
@@ -68,7 +66,9 @@ def alternated_by_run_parity(loop):
 
 
 def grid_cycles_as_loops(n):
-    """Vertex loops of all cycles in the (n+1)x(n+1) grid, by backtracking."""
+    """Oracle: vertex loops of all cycles in the (n+1)x(n+1) grid, by
+    anchored backtracking; each loop starts at its least vertex, and its
+    orientation is fixed by second vertex < last vertex."""
     size = n + 1
     loops = []
 
@@ -98,6 +98,48 @@ def grid_cycles_as_loops(n):
     for start in range(size * size):
         dfs(start, start, [start])
     return loops
+
+
+def young_diagram_cycles(n):
+    """Boundary cycles of the nonempty Young diagrams inside the n x n box.
+
+    Returns (partition, vertex loop) pairs; there are exactly
+    binomial(2n, n) - 1 of them.  Vertices are (row, col) lattice points
+    with row 0 at the top edge of the box.
+    """
+    shapes = []
+
+    def build(prefix, prev, rows_left):
+        if rows_left == 0 or prev == 0:
+            if prefix:
+                shapes.append(tuple(prefix))
+            return
+        for part in range(prev, 0, -1):
+            build(prefix + [part], part, rows_left - 1)
+        if prefix:
+            shapes.append(tuple(prefix))
+
+    build([], n, n)
+
+    out = []
+    for shape in sorted(set(shapes)):
+        loop = [(0, 0)]
+        # down the left edge, then staircase up-right along the profile
+        rows = len(shape)
+        for r in range(1, rows + 1):
+            loop.append((r, 0))
+        col = 0
+        for r in range(rows, 0, -1):
+            width = shape[r - 1]
+            if width > col:
+                for cc in range(col + 1, width + 1):
+                    loop.append((r, cc))
+                col = width
+            loop.append((r - 1, col))
+        for cc in range(col - 1, 0, -1):
+            loop.append((0, cc))
+        out.append((shape, loop))
+    return out
 
 
 class TestGstar:
