@@ -134,25 +134,31 @@ def _segment_intersections(pts: np.ndarray):
     """All transversal interior intersections between non-adjacent segments.
 
     Returns (i, j, t, u, point, angle) per intersection with parameters in
-    [0, 1) along segments i < j.
+    [0, 1) along segments i < j, in (i, j) order.  The broad phase sorts
+    the segments' boxes by lower x: the box at sorted position k can meet
+    in x only the boxes after it whose lower x is at most its upper x.
     """
     n = len(pts)
     a = pts
     b = np.roll(pts, -1, axis=0)
     d = b - a
-    ii, jj = np.triu_indices(n, k=2)
-    # exclude the wrap-adjacent pair (0, n-1)
-    keep = ~((ii == 0) & (jj == n - 1))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort(lo[:, 0], kind="stable")
+    runs = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(n) - 1
+    first = np.repeat(np.arange(n), runs)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(runs) - runs, runs)
+    ii = np.minimum(order[first], order[second])
+    jj = np.maximum(order[first], order[second])
+    # exclude adjacent pairs and the wrap-adjacent pair (0, n-1)
+    keep = (jj - ii >= 2) & ~((ii == 0) & (jj == n - 1))
     ii, jj = ii[keep], jj[keep]
     # quick bounding-box rejection
-    lo_i = np.minimum(a[ii], b[ii])
-    hi_i = np.maximum(a[ii], b[ii])
-    lo_j = np.minimum(a[jj], b[jj])
-    hi_j = np.maximum(a[jj], b[jj])
-    boxok = np.all((lo_i <= hi_j) & (lo_j <= hi_i), axis=1)
+    boxok = np.all((lo[ii] <= hi[jj]) & (lo[jj] <= hi[ii]), axis=1)
     ii, jj = ii[boxok], jj[boxok]
     if len(ii) == 0:
         return []
+    by_ij = np.lexsort((jj, ii))
+    ii, jj = ii[by_ij], jj[by_ij]
     di, dj = d[ii], d[jj]
     denom = di[:, 0] * dj[:, 1] - di[:, 1] * dj[:, 0]
     rel = a[jj] - a[ii]
@@ -248,7 +254,7 @@ def _build_edges(pts, passage_params, passage_crossing, crossings) -> DiagramGra
             keep[1:-1] = (np.hypot(*(poly[1:-1] - poly[0]).T) > 1e-12) & (
                 np.hypot(*(poly[1:-1] - poly[-1]).T) > 1e-12
             )
-        interior = tuple(int(k % n) for k, kept in zip(ks, keep[1:-1]) if kept)
+        interior = tuple((ks[keep[1:-1]] % n).tolist())
         g.add_edge((c0, in_slot[j] + 1), (c1, in_slot[(j + 1) % m]), poly[keep], interior)
     return g
 

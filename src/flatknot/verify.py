@@ -58,41 +58,36 @@ class CheckResult:
     seconds: float
 
 
-def _flow_runs():
-    """Run the four reference flows once and cache the traces."""
-    if _flow_cache:
-        return _flow_cache
-    t0 = time.time()
-    _flow_cache["circle"] = relax(
+_FLOWS = {
+    "circle": lambda: relax(
         fixtures.noisy_circle(_FLOW_N, seed=7, amplitude=0.05),
         FlowConfig(resistance="MRE", delta=0.05, step0=1e-4, grad_tol=2e-4, max_iters=4000),
-    )
-    _flow_cache["circle_s"] = time.time() - t0
-
-    t0 = time.time()
-    _flow_cache["eight"] = relax(
+    ),
+    "eight": lambda: relax(
         fixtures.noisy_figure_eight(_FLOW_N, seed=11, amplitude=0.02),
         FlowConfig(resistance="none", step0=1e-4, grad_tol=3e-4, max_iters=6000),
-    )
-    _flow_cache["eight_s"] = time.time() - t0
-
-    t0 = time.time()
-    _flow_cache["trefoil"] = relax(
+    ),
+    "trefoil": lambda: relax(
         fixtures.trefoil_curve(_FLOW_N),
         FlowConfig(resistance="MRE", delta=0.2, step0=1e-4, grad_tol=1e-4, max_iters=800),
-    )
-    _flow_cache["trefoil_s"] = time.time() - t0
-
+    ),
     # adversarial: collapse-above-threshold functional, violates the
     # generic-deformation hypothesis and must abort as FORBIDDEN
-    t0 = time.time()
-    _flow_cache["adversarial"] = relax(
+    "adversarial": lambda: relax(
         fixtures.limacon_curve(inner=2.0, n=_FLOW_N),
         FlowConfig(functional=fixtures.collapse_functional(), resistance="none",
                    delta=0.05, step0=1e-4, grad_tol=1e-6, max_iters=2000),
-    )
-    _flow_cache["adversarial_s"] = time.time() - t0
-    return _flow_cache
+    ),
+}
+
+
+def _flow_run(name: str):
+    """Run one reference flow once and cache its trace with its seconds."""
+    if name not in _flow_cache:
+        t0 = time.time()
+        tr = _FLOWS[name]()
+        _flow_cache[name] = tr, time.time() - t0
+    return _flow_cache[name]
 
 
 def check_xi_root():
@@ -281,29 +276,26 @@ def check_gstar_bound():
 def check_flow_circle():
     from .uniformization import discrete_curvature
 
-    tr = _flow_runs()["circle"]
-    dt = _flow_cache["circle_s"]
+    tr, dt = _flow_run("circle")
     k = discrete_curvature(gauss_from_curve(tr.final_curve))
     spread = float(k.max() - k.min())
     ok = spread < 1e-3 and tr.crossing_counts[-1] == 0 and dt < 120
-    return ok, f"spread {spread:.2e}, crossings {tr.crossing_counts[-1]}, {dt:.0f}s, {tr.terminated}"
+    return ok, f"spread {spread:.2e}, crossings {tr.crossing_counts[-1]}, {dt:.1f}s, {tr.terminated}"
 
 
 def check_flow_eight():
-    tr = _flow_runs()["eight"]
-    dt = _flow_cache["eight_s"]
+    tr, dt = _flow_run("eight")
     target = build_infinity_curve(2, 1024)
     dist, _ = align_rigid(tr.final_curve.points, target.points, angles=120)
     ok = dist < 1e-2 and dt < 120
-    return ok, f"aligned Hausdorff {dist:.4f}, {dt:.0f}s, {tr.terminated}"
+    return ok, f"aligned Hausdorff {dist:.4f}, {dt:.1f}s, {tr.terminated}"
 
 
 def check_flow_monitor():
-    runs = _flow_runs()
     lines = []
     ok = True
-    for name in ("circle", "eight", "trefoil", "adversarial"):
-        tr = runs[name]
+    for name in _FLOWS:
+        tr, _ = _flow_run(name)
         forbidden = any(ev.kind == "FORBIDDEN" for ev in tr.events)
         if tr.max_gmre <= GMRE_CEILING and forbidden:
             ok = False
@@ -314,14 +306,13 @@ def check_flow_monitor():
 
 
 def check_flow_trefoil():
-    tr = _flow_runs()["trefoil"]
-    dt = _flow_cache["trefoil_s"]
+    tr, dt = _flow_run("trefoil")
     delta = 0.2
     final = detect_crossings(tr.final_curve)
     crit = [cy for cy in enumerate_cycles(final) if cy.alternated and cy.area < delta]
     ok = len(crit) >= 1 and dt < 120
     areas = sorted(round(cy.area, 5) for cy in crit)
-    return ok, f"{len(crit)} delta-critical alternated cycles, areas {areas[:4]}, {dt:.0f}s"
+    return ok, f"{len(crit)} delta-critical alternated cycles, areas {areas[:4]}, {dt:.1f}s"
 
 
 def check_scaling():

@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,6 +172,20 @@ class TestVerifyCmd:
         assert len(lines) == len(results) == 3
         for line, res in zip(lines, results):
             assert line.startswith(f"PASS  {res.name:<26} {res.seconds:7.2f} s  {res.detail}")
+
+    def test_flow_check_runs_only_its_own_flow(self, monkeypatch):
+        calls = []
+
+        def fake_relax(curve, cfg):
+            calls.append(cfg)
+            return SimpleNamespace(final_curve=curve, crossing_counts=[0], terminated="converged")
+
+        monkeypatch.setattr(verify, "relax", fake_relax)
+        monkeypatch.setattr(verify, "_flow_cache", {})
+        results = verify.run_checks(only="c12a", out=lambda line: None)
+        assert [res.name for res in results] == ["c12a-flow-circle"]
+        assert len(calls) == 1
+        assert calls[0].resistance == "MRE" and calls[0].delta == 0.05
 
     def test_unknown_group(self, capsys):
         assert main(["verify", "--only", "nonsense"]) == 2

@@ -6,6 +6,7 @@ from math import factorial
 from flatknot.curve import ClosedCurve, resample_arclength
 from flatknot.diagram import (
     DiagramGraph,
+    _segment_intersections,
     detect_crossings,
     diagram_faces,
     enumerate_cycles,
@@ -48,6 +49,52 @@ def brute_force_crossing_count(points):
             ):
                 count += 1
     return count
+
+
+def all_pairs_intersections(pts: np.ndarray):
+    """Oracle: the all-pairs O(N^2) crossing detector that the sort-and-sweep
+    broad phase of `_segment_intersections` replaced.  All transversal
+    interior intersections between non-adjacent segments.
+
+    Returns (i, j, t, u, point, angle) per intersection with parameters in
+    [0, 1) along segments i < j.
+    """
+    n = len(pts)
+    a = pts
+    b = np.roll(pts, -1, axis=0)
+    d = b - a
+    ii, jj = np.triu_indices(n, k=2)
+    # exclude the wrap-adjacent pair (0, n-1)
+    keep = ~((ii == 0) & (jj == n - 1))
+    ii, jj = ii[keep], jj[keep]
+    # quick bounding-box rejection
+    lo_i = np.minimum(a[ii], b[ii])
+    hi_i = np.maximum(a[ii], b[ii])
+    lo_j = np.minimum(a[jj], b[jj])
+    hi_j = np.maximum(a[jj], b[jj])
+    boxok = np.all((lo_i <= hi_j) & (lo_j <= hi_i), axis=1)
+    ii, jj = ii[boxok], jj[boxok]
+    if len(ii) == 0:
+        return []
+    di, dj = d[ii], d[jj]
+    denom = di[:, 0] * dj[:, 1] - di[:, 1] * dj[:, 0]
+    rel = a[jj] - a[ii]
+    scale = np.hypot(*di.T) * np.hypot(*dj.T)
+    ok = np.abs(denom) > 1e-14 * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rel[:, 0] * dj[:, 1] - rel[:, 1] * dj[:, 0]) / denom
+        u = (rel[:, 0] * di[:, 1] - rel[:, 1] * di[:, 0]) / denom
+    hit = ok & (t >= 0.0) & (t < 1.0) & (u >= 0.0) & (u < 1.0)
+    out = []
+    for idx in np.nonzero(hit)[0]:
+        i, j = int(ii[idx]), int(jj[idx])
+        point = a[i] + t[idx] * d[i]
+        ang = float(
+            abs(np.arctan2(di[idx, 0] * dj[idx, 1] - di[idx, 1] * dj[idx, 0],
+                           di[idx, 0] * dj[idx, 0] + di[idx, 1] * dj[idx, 1]))
+        )
+        out.append((i, j, float(t[idx]), float(u[idx]), point, ang))
+    return out
 
 
 def ear_clip_area(poly):
@@ -208,6 +255,50 @@ class TestDetect:
         for rule in ([True] * 2, [True] * 4):
             with pytest.raises(ValueError):
                 d.relabelled(rule)
+
+
+def hit_bytes(hits):
+    """A detector's hits as bytes, so equality is bitwise and ordered."""
+    f = lambda x: np.float64(x).tobytes()
+    return [(i, j, f(t), f(u), point.tobytes(), f(ang)) for i, j, t, u, point, ang in hits]
+
+
+def assert_sweep_matches_all_pairs(pts):
+    pts = np.asarray(pts, dtype=float)
+    got = _segment_intersections(pts)
+    assert hit_bytes(got) == hit_bytes(all_pairs_intersections(pts))
+    return got
+
+
+lattice_points = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+class TestSweepMatchesAllPairs:
+    @given(st.integers(0, 10_000), st.sampled_from([64, 200, 512]))
+    def test_random_immersed_curves(self, seed, n):
+        (c, _), = random_immersed_curves(1, seed=seed, n=n)
+        assert assert_sweep_matches_all_pairs(c.points)
+
+    @given(st.lists(lattice_points, min_size=3, max_size=40))
+    def test_integer_lattice_polygons(self, pts):
+        # tied lower x, zero-width vertical and horizontal boxes, repeated points
+        assert_sweep_matches_all_pairs(pts)
+
+    @given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=3, max_size=4))
+    def test_three_and_four_segments(self, pts):
+        assert_sweep_matches_all_pairs(pts)
+
+    def test_crossing_free_circle(self):
+        assert assert_sweep_matches_all_pairs(circle_curve(256).points) == []
+
+    def test_comb_all_boxes_overlap_in_x(self):
+        # teeth between x = 0 and x = 1, closed by one long segment that
+        # crosses every tooth
+        pts = [(k % 2, 0.1 * k) for k in range(64)]
+        assert len(assert_sweep_matches_all_pairs(pts)) == 61
+
+    def test_trefoil_4096(self):
+        assert len(assert_sweep_matches_all_pairs(trefoil_curve(4096).points)) == 3
 
 
 class TestEnumerate:
