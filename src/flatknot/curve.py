@@ -269,35 +269,33 @@ def hausdorff_distance(points_a: np.ndarray, points_b: np.ndarray) -> float:
     )
 
 
-def align_rigid(points: np.ndarray, target: np.ndarray, angles: int = 180):
-    """Best rigid motion (rotation + translation, either reflection) of
-    `points` onto `target`, minimizing polyline Hausdorff distance.
+def align_rigid(points: np.ndarray, target: np.ndarray):
+    """Rigid motion (rotation + translation, either reflection) of `points`
+    onto `target`, and the polyline Hausdorff distance it leaves.
 
-    Returns (distance, aligned points).  Grid search plus local
-    refinement; intended for verification, not performance.
+    Returns (distance, aligned points in the order of `points`).  Both
+    closed curves are assumed sampled uniformly in arclength and of equal
+    length: `target` is resampled to len(points), and sample k of `points`
+    is matched to sample k + s of the target, in either traversal
+    direction.  Over every shift s the least-squares motion is the
+    orthogonal Procrustes solution U V^T of the centred cross-covariance
+    H_s = U S V^T (its determinant is -1 for a reflection); the shift with
+    the largest trace of S leaves the least residual.  All H_s come from
+    circular cross-correlations by FFT.  The distance is that of a real
+    rigid motion, so it bounds the optimum over motions from above.
     """
     a = np.asarray(points, dtype=float)
-    b = np.asarray(target, dtype=float)
-    a = a - a.mean(axis=0)
-    b_c = b.mean(axis=0)
-    bt = b - b_c
-
-    def rot(p, th):
-        c, s = np.cos(th), np.sin(th)
-        return p @ np.array([[c, s], [-s, c]])
-
-    best = (np.inf, a)
-    for refl in (1.0, -1.0):
-        ar = a * np.array([1.0, refl])
-        coarse = np.linspace(0, TWO_PI, angles, endpoint=False)
-        vals = [hausdorff_distance(rot(ar, th), bt) for th in coarse]
-        i = int(np.argmin(vals))
-        for th in np.linspace(coarse[i] - 0.08, coarse[i] + 0.08, 40):
-            q = rot(ar, th)
-            dist = hausdorff_distance(q, bt)
-            if dist < best[0]:
-                best = (dist, q + b_c)
-    return best
+    b = resample_arclength(target, len(a)).points
+    a0 = a - a.mean(axis=0)
+    b0 = b - b.mean(axis=0)
+    # h[d, s, i, j] = sum_k run_d[k + s, i] * b0[k, j], run_1 the reversed points
+    fa = np.fft.rfft(np.stack([a0, a0[::-1]]), axis=1)
+    fb = np.conj(np.fft.rfft(b0, axis=0))
+    h = np.fft.irfft(fa[..., :, None] * fb[:, None, :], n=len(a), axis=1)
+    u, sv, vt = np.linalg.svd(h)
+    d, s = np.unravel_index(np.argmax(sv.sum(axis=-1)), sv.shape[:2])
+    aligned = a0 @ (u[d, s] @ vt[d, s]) + b.mean(axis=0)
+    return hausdorff_distance(aligned, target), aligned
 
 
 def whitney_index(c: ClosedCurve) -> int:

@@ -267,16 +267,16 @@ class KnotDiagram:
         curve: ClosedCurve,
         crossings: list[Crossing],
         graph: DiagramGraph,
-        passage_params=None,
-        passage_crossing=None,
-        crossing_segments=None,
+        passage_params: list[float],
+        passage_crossing: list[int],
+        crossing_segments: list,
     ):
         self.curve = curve
         self.crossings = crossings
         self.graph = graph
-        self.passage_params = passage_params or []
-        self.passage_crossing = passage_crossing or []
-        self.crossing_segments = crossing_segments or []
+        self.passage_params = passage_params
+        self.passage_crossing = passage_crossing
+        self.crossing_segments = crossing_segments
 
     @property
     def n_crossings(self) -> int:
@@ -433,13 +433,13 @@ def _breakdown(cycles, family, delta=None) -> EnergyBreakdown:
     )
 
 
-def resistance_energy(d: KnotDiagram, max_cycles: int = DEFAULT_CYCLE_LIMIT) -> EnergyBreakdown:
+def resistance_energy(d: KnotDiagram) -> EnergyBreakdown:
     """RE = sum of 1/area over all alternated cycles."""
-    cycles = [cy for cy in enumerate_cycles(d, max_cycles=max_cycles) if cy.alternated]
+    cycles = [cy for cy in enumerate_cycles(d) if cy.alternated]
     return _breakdown(cycles, "RE")
 
 
-def mre(d: KnotDiagram, delta: float, max_cycles: int = DEFAULT_CYCLE_LIMIT) -> EnergyBreakdown:
+def mre(d: KnotDiagram, delta: float) -> EnergyBreakdown:
     """Material resistance energy: sum of (1/A - 1/delta) over alternated
     cycles with area < delta.
 
@@ -448,7 +448,7 @@ def mre(d: KnotDiagram, delta: float, max_cycles: int = DEFAULT_CYCLE_LIMIT) -> 
     Every delta-critical cycle bounds a union of such faces, so nothing
     is missed.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if d.n_crossings == 0:
         return _breakdown([cy for cy in enumerate_cycles(d, area_cap=delta) if cy.alternated], "MRE", delta)
@@ -456,23 +456,21 @@ def mre(d: KnotDiagram, delta: float, max_cycles: int = DEFAULT_CYCLE_LIMIT) -> 
     domains = _low_area_domains(d, delta)
     seen = {}
     for edge_ids in domains:
-        for cy in enumerate_cycles_graph(
-            d.graph, area_cap=delta, max_cycles=max_cycles, edge_subset=edge_ids
-        ):
+        for cy in enumerate_cycles_graph(d.graph, area_cap=delta, edge_subset=edge_ids):
             if cy.alternated:
                 seen.setdefault(cy.key, cy)
     cycles = sorted(seen.values(), key=lambda cy: (cy.n_arcs, cy.key))
     return _breakdown(cycles, "MRE", delta)
 
 
-def gmre(d: KnotDiagram, delta: float, max_cycles: int = DEFAULT_CYCLE_LIMIT) -> EnergyBreakdown:
+def gmre(d: KnotDiagram, delta: float) -> EnergyBreakdown:
     """Genericity modification: delta-critical alternated cycles with at
     most 3 arcs, plus every delta-critical 4-arc cycle, alternated or not."""
-    if delta <= 0 and not np.isinf(delta):
+    if not delta > 0:
         raise ValueError("delta must be positive")
     cycles = [
         cy
-        for cy in enumerate_cycles(d, area_cap=delta, arc_cap=4, max_cycles=max_cycles)
+        for cy in enumerate_cycles(d, area_cap=delta, arc_cap=4)
         if cy.n_arcs <= 3 and cy.alternated or cy.n_arcs == 4
     ]
     dlt = None if np.isinf(delta) else delta

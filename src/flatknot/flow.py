@@ -54,7 +54,8 @@ class FlowConfig:
             raise ValueError(f"resistance must be one of {RESISTANCE_FAMILIES}")
         if self.step0 <= 0 or self.grad_tol <= 0:
             raise ValueError("step0 and grad_tol must be positive")
-        if self.resistance in ("MRE", "GMRE") and self.delta <= 0:
+        # the GMRE monitor reads delta under every resistance
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
 
 

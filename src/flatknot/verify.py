@@ -286,7 +286,7 @@ def check_flow_circle():
 def check_flow_eight():
     tr, dt = _flow_run("eight")
     target = build_infinity_curve(2, 1024)
-    dist, _ = align_rigid(tr.final_curve.points, target.points, angles=120)
+    dist, _ = align_rigid(tr.final_curve.points, target.points)
     ok = dist < 1e-2 and dt < 120
     return ok, f"aligned Hausdorff {dist:.4f}, {dt:.1f}s, {tr.terminated}"
 

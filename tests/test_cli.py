@@ -65,6 +65,11 @@ class TestEnergyCmd:
         g = json.loads(capsys.readouterr().out)
         assert m["total"] == pytest.approx(g["total"], abs=1e-10)
 
+    @pytest.mark.parametrize("family", ["MRE", "GMRE"])
+    def test_nan_delta_is_usage_error(self, trefoil_json, family, capsys):
+        assert main(["energy", str(trefoil_json), "--family", family, "--delta", "nan"]) == 2
+        assert "delta must be positive" in capsys.readouterr().err
+
 
 class TestCyclesCmd:
     def test_trefoil_census(self, trefoil_json, capsys):

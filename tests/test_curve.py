@@ -2,18 +2,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from flatknot import curve as curve_mod
 from flatknot.curve import (
     ClosedCurve,
     GaussRep,
+    align_rigid,
     closure_report,
     curve_from_gauss,
     gauss_from_curve,
+    hausdorff_distance,
     resample_arclength,
     whitney_index,
 )
 from flatknot.errors import DegeneratePolylineError
-from flatknot.fixtures import circle_curve, doubly_traversed_circle, ellipse_curve, fourier_wobble
-from flatknot.pendulum import PendulumParams, pendulum_alpha
+from flatknot.fixtures import (
+    circle_curve,
+    doubly_traversed_circle,
+    ellipse_curve,
+    fourier_wobble,
+    noisy_figure_eight,
+)
+from flatknot.pendulum import PendulumParams, build_infinity_curve, pendulum_alpha
 
 TWO_PI = 2 * np.pi
 
@@ -167,3 +176,81 @@ def test_validate_passes_on_resampled():
     th = np.linspace(0, TWO_PI, 300, endpoint=False)
     c = resample_arclength(np.column_stack([np.cos(th), 1.3 * np.sin(th)]), 128)
     c.validate()
+
+
+def align_rigid_grid_search(points: np.ndarray, target: np.ndarray, angles: int = 180):
+    """Best rigid motion (rotation + translation, either reflection) of
+    `points` onto `target`, minimizing polyline Hausdorff distance.
+
+    Returns (distance, aligned points).  Grid search plus local
+    refinement; intended for verification, not performance.
+    """
+    a = np.asarray(points, dtype=float)
+    b = np.asarray(target, dtype=float)
+    a = a - a.mean(axis=0)
+    b_c = b.mean(axis=0)
+    bt = b - b_c
+
+    def rot(p, th):
+        c, s = np.cos(th), np.sin(th)
+        return p @ np.array([[c, s], [-s, c]])
+
+    best = (np.inf, a)
+    for refl in (1.0, -1.0):
+        ar = a * np.array([1.0, refl])
+        coarse = np.linspace(0, TWO_PI, angles, endpoint=False)
+        vals = [hausdorff_distance(rot(ar, th), bt) for th in coarse]
+        i = int(np.argmin(vals))
+        for th in np.linspace(coarse[i] - 0.08, coarse[i] + 0.08, 40):
+            q = rot(ar, th)
+            dist = hausdorff_distance(q, bt)
+            if dist < best[0]:
+                best = (dist, q + b_c)
+    return best
+
+
+def rigidly_moved(points, rng, reflect, reverse):
+    """A seeded rotation, translation and start shift of `points`, with an
+    optional reflection and reversed traversal."""
+    th = rng.uniform(0, TWO_PI)
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    if reflect:
+        rot = rot @ np.diag([1.0, -1.0])
+    moved = points @ rot.T + rng.normal(0, 3, 2)
+    if reverse:
+        moved = moved[::-1]
+    return np.roll(moved, rng.integers(len(moved)), axis=0)
+
+
+class TestAlignRigid:
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_exact_pose_recovery(self, infinity_curve, reflect, reverse):
+        target = infinity_curve.points
+        rng = np.random.default_rng(2 * reflect + reverse)
+        moved = rigidly_moved(target[::4], rng, reflect, reverse)
+        dist, aligned = align_rigid(moved, target)
+        assert dist == pytest.approx(hausdorff_distance(target[::4], target), abs=1e-9)
+        assert hausdorff_distance(aligned, target) == dist
+
+    def test_one_measurement(self, infinity_curve, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return hausdorff_distance(a, b)
+
+        monkeypatch.setattr(curve_mod, "hausdorff_distance", counted)
+        align_rigid(infinity_curve.points[::4], infinity_curve.points)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed,reflect,reverse", [(0, False, False), (1, True, False), (2, True, True)])
+    def test_within_grid_search_oracle(self, seed, reflect, reverse):
+        # the closed form minimizes the L2 residual over sample matches, the
+        # oracle the Hausdorff distance over angles; they agree to a few %
+        target = build_infinity_curve(2, 256).points
+        rng = np.random.default_rng(100 + seed)
+        moved = rigidly_moved(noisy_figure_eight(64, seed=seed, amplitude=0.03).points, rng, reflect, reverse)
+        dist, _ = align_rigid(moved, target)
+        oracle, _ = align_rigid_grid_search(moved, target)
+        assert dist <= 1.25 * oracle

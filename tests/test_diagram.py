@@ -410,7 +410,7 @@ class TestResistanceEnergies:
         sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         curve = resample_arclength(sq, 64)
         d = detect_crossings(curve)
-        zero = type(d)(ClosedCurve(np.zeros((8, 2)) + np.arange(8)[:, None] * 1e-16, 1.0), [], DiagramGraph(0, []))
+        zero = type(d)(ClosedCurve(np.zeros((8, 2)) + np.arange(8)[:, None] * 1e-16, 1.0), [], DiagramGraph(0, []), [], [], [])
         with pytest.raises(SingularDiagramError, match="singular diagram"):
             resistance_energy(zero)
 
@@ -446,6 +446,11 @@ class TestMre:
         bd = mre(trefoil_diagram, 0.9)
         assert all(v > 0 for _, v in bd.per_cycle)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, -np.inf])
+    def test_rejects_delta_not_positive(self, trefoil_diagram, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            mre(trefoil_diagram, delta)
+
 
 class TestGmre:
     def test_trefoil_matches_mre(self, trefoil_diagram):
@@ -457,6 +462,18 @@ class TestGmre:
 
     def test_zero_when_large_areas(self, trefoil_diagram):
         assert gmre(trefoil_diagram, 1e-9).total == 0.0
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, -np.inf])
+    def test_rejects_delta_not_positive(self, trefoil_diagram, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            gmre(trefoil_diagram, delta)
+
+    def test_infinite_delta_is_uncapped(self, trefoil_diagram):
+        # every trefoil cycle is alternated with at most 3 arcs, so with no
+        # area cap and no 1/delta term GMRE is RE
+        bd = gmre(trefoil_diagram, np.inf)
+        assert bd.delta == np.inf
+        assert bd.total == pytest.approx(resistance_energy(trefoil_diagram).total, rel=1e-12)
 
     def test_lattice_fragment_bound(self):
         # 3 x 3 woven region: 9 crossings, delta = infinity surrogate

@@ -92,6 +92,13 @@ class TestTotalEnergy:
         assert abs(lobes[0].area - lobes[1].area) < 1e-6
         assert r == pytest.approx(2.0 / lobes[0].area, rel=1e-9)
 
+    @pytest.mark.parametrize("resistance", ["none", "RE", "MRE", "GMRE"])
+    @pytest.mark.parametrize("delta", [0.0, -0.1, np.nan])
+    def test_delta_checked_under_every_resistance(self, resistance, delta):
+        # the GMRE monitor reads delta whatever the resistance
+        with pytest.raises(ValueError, match="delta must be positive"):
+            FlowConfig(resistance=resistance, delta=delta)
+
     def test_scaling_laws(self, trefoil_diagram):
         cfg = FlowConfig(resistance="RE")
         c = trefoil_diagram.curve
