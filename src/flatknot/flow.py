@@ -1,15 +1,20 @@
 """Projected gradient descent on E = U_f + resistance, with Reidemeister
 event detection and the bounded-GMRE knot-type monitor.
 
-The descent lives in angle space: the step direction is the analytic
-bending gradient plus the exact resistance gradient of the frozen cycle
-set of the current diagram (one reverse pass through the shoelace areas,
-the crossing points and the trapezoid integration), projected off the
-two closure directions.  Every accepted iterate is re-closed and integrated
-at unit speed, so it has length 2pi, and carries its U_f value and its
-resistance breakdown, whose cycles are the next frozen set.  Over/under
-data is inherited across iterates by spatial matching; census changes
-are classified as R2 / R3 and anything else aborts the flow as FORBIDDEN.
+The descent lives in angle space.  The gradient is the analytic bending
+gradient plus the exact resistance gradient of the frozen cycle set of
+the current diagram (one reverse pass through the shoelace areas, the
+crossing points and the trapezoid integration), projected off the two
+closure directions.  The step runs along its H^1 direction: the gradient
+preconditioned by P = I - d^2/ds^2 (one real FFT, symbol 1 + k^2 at
+integer frequency k) and projected again, so the stiff high frequencies
+no longer set the step size.  Convergence is still tested on the L^2
+norm of the projected gradient.  Every accepted iterate is re-closed and
+integrated at unit speed, so it has length 2pi, and carries its U_f
+value and its resistance breakdown, whose cycles are the next frozen
+set.  Over/under data is inherited across iterates by spatial matching;
+census changes are classified as R2 / R3 and anything else aborts the
+flow as FORBIDDEN.
 """
 
 from __future__ import annotations
@@ -76,6 +81,11 @@ class FlowTrace:
     gmre_values: list = field(default_factory=list)
     crossing_counts: list = field(default_factory=list)
     findings: list = field(default_factory=list)
+    # one entry per step taken: the projected L^2 gradient norm it
+    # started from, the accepted step and the rejected candidates before it
+    grad_norms: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
+    backtracks: list = field(default_factory=list)
 
     @property
     def max_gmre(self) -> float:
@@ -313,21 +323,45 @@ def _match_crossings(before: KnotDiagram, after: KnotDiagram, radius: float):
     return pairs
 
 
-def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
-    """One Armijo-backtracking descent step along -grad from x.
+def _precondition(v: np.ndarray) -> np.ndarray:
+    """P^-1 v for P = I - d^2/ds^2 on a closed curve of length 2pi: one
+    real FFT, each integer frequency k divided by 1 + k^2."""
+    k = np.arange(len(v) // 2 + 1)
+    return np.fft.irfft(np.fft.rfft(v) / (1.0 + k * k), len(v))
 
-    Both sides of the Armijo test measure the bending part directly on
-    the angle samples, so the comparison is exact; the resistance part is
-    re-detected honestly on each candidate curve.
+
+def _h1_direction(g: GaussRep, grad: np.ndarray) -> np.ndarray:
+    """The H^1 gradient direction project_closure(P^-1 grad).
+
+    Frequency k moves at 1/(1 + k^2) of its L^2 rate, so the stiff high
+    modes no longer limit the step, and the iteration count no longer
+    grows fourfold per doubling of N.  The symbol is the continuous one.  The symbol matched to the
+    central-difference curvature, 1 + sin^2(kh)/h^2, falls back to 1 near
+    Nyquist, where that curvature cannot see the checkerboard modes, so
+    it would move them at the full L^2 rate.
+    """
+    return project_closure(g, _precondition(grad))
+
+
+def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
+    """One Armijo-backtracking descent step from x along -d, the H^1
+    direction of the closure-projected gradient grad.
+
+    Since grad is already projected, the Armijo slope
+    h <grad, d> = h <grad, P^-1 grad> is positive.  Both sides of the
+    Armijo test measure the bending part directly on the angle samples,
+    so the comparison is exact; the resistance part is re-detected
+    honestly on each candidate curve.
     Returns (accepted iterate, accepted step).
     """
     g = x.gauss
-    gnorm2 = (TWO_PI / g.n) * float(np.dot(grad, grad))
-    radius = max(5.0 * step * np.sqrt(max(gnorm2, 0.0)), 1e-3)
+    d = _h1_direction(g, grad)
+    slope = (TWO_PI / g.n) * float(np.dot(grad, d))
+    radius = max(5.0 * step * gradient_norm(g, d), 1e-3)
     s = step
     while s >= _STEP_FLOOR:
         try:
-            alpha_s = _reclose_alpha(g.alpha - s * grad, TWO_PI)
+            alpha_s = _reclose_alpha(g.alpha - s * d, TWO_PI)
             if np.array_equal(alpha_s, g.alpha):
                 # already critical to rounding: nothing moves
                 return x, s
@@ -337,7 +371,7 @@ def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
         except (CodimensionOneError, SingularDiagramError, StalledError):
             s *= 0.5
             continue
-        if y.total <= x.total - _ARMIJO * s * gnorm2:
+        if y.total <= x.total - _ARMIJO * s * slope:
             return y, s
         s *= 0.5
     raise StalledError("stalled")
@@ -359,8 +393,8 @@ def _start(c: ClosedCurve, cfg: FlowConfig, diagram: KnotDiagram | None = None) 
 
 
 def flow_step(c: ClosedCurve, cfg: FlowConfig, step: float, diagram: KnotDiagram | None = None):
-    """One backtracking line-search step from the iterate `relax` would
-    start from; returns (new curve, accepted step).
+    """One backtracking line-search step along the H^1 direction from the
+    iterate `relax` would start from; returns (new curve, accepted step).
 
     Energy is non-increasing (Armijo factor 1e-4); a step underflow below
     1e-12 raises StalledError("stalled").
@@ -516,6 +550,10 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
             trace.terminated = "converged"
             trace.findings.append(f"iter {it}: line search stalled at |grad| = {gnorm:.3e}")
             break
+        trace.grad_norms.append(gnorm)
+        trace.steps.append(accepted)
+        # every rejected candidate halves the step, exactly in binary
+        trace.backtracks.append(round(np.log2(step / accepted)))
 
         disp = float(np.max(np.hypot(*(y.curve.points - x.curve.points).T)))
         event = classify_event(x.diagram, y.diagram, max(5.0 * disp, 1e-3))

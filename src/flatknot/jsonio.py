@@ -75,13 +75,17 @@ def energy_report_json(name: str, value: float, grad_norm: float, el) -> dict:
 
 
 def write_trace_jsonl(trace, path) -> None:
+    """One line per iterate, then one per event.  An iterate a step was
+    taken from also carries that step's grad_norm, step and backtracks."""
+    steps = list(zip(trace.grad_norms, trace.steps, trace.backtracks, strict=True))
     with open(path, "w") as fh:
-        for (it, u, r, total), gm, nc in zip(
-            trace.energies, trace.gmre_values, trace.crossing_counts
+        for k, ((it, u, r, total), gm, nc) in enumerate(
+            zip(trace.energies, trace.gmre_values, trace.crossing_counts)
         ):
-            fh.write(
-                json.dumps({"iter": it, "U": u, "R": r, "gmre": gm, "crossings": nc}) + "\n"
-            )
+            rec = {"iter": it, "U": u, "R": r, "gmre": gm, "crossings": nc}
+            if k < len(steps):
+                rec.update(zip(("grad_norm", "step", "backtracks"), steps[k]))
+            fh.write(json.dumps(rec) + "\n")
         for ev in trace.events:
             fh.write(
                 json.dumps(

@@ -309,10 +309,17 @@ def check_flow_trefoil():
     tr, dt = _flow_run("trefoil")
     delta = 0.2
     final = detect_crossings(tr.final_curve)
-    crit = [cy for cy in enumerate_cycles(final) if cy.alternated and cy.area < delta]
+    alternated = [cy for cy in enumerate_cycles(final) if cy.alternated]
+    crit = [cy for cy in alternated if cy.area < delta]
     ok = len(crit) >= 1 and dt < 120
     areas = sorted(round(cy.area, 5) for cy in crit)
-    return ok, f"{len(crit)} delta-critical alternated cycles, areas {areas[:4]}, {dt:.1f}s"
+    # the flow presses its loops against area delta: the margin shows
+    # which side of delta they stopped on
+    margin = min((cy.area for cy in alternated), default=np.inf) - delta
+    return ok, (
+        f"{len(crit)} delta-critical alternated cycles, areas {areas[:4]}, "
+        f"min area - delta {margin:.1e}, {dt:.1f}s"
+    )
 
 
 def check_scaling():

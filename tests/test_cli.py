@@ -139,7 +139,7 @@ class TestRelaxCmd:
         assert detect_crossings(curve_from_json(final)).n_crossings == 0
         lines = (outdir / "trace.jsonl").read_text().strip().splitlines()
         first = json.loads(lines[0])
-        assert {"iter", "U", "R", "gmre", "crossings"} <= set(first)
+        assert {"iter", "U", "R", "gmre", "crossings", "grad_norm", "step", "backtracks"} <= set(first)
 
     def test_forbidden_exit(self, tmp_path):
         curve_path = tmp_path / "limacon.json"
@@ -191,6 +191,20 @@ class TestVerifyCmd:
         assert [res.name for res in results] == ["c12a-flow-circle"]
         assert len(calls) == 1
         assert calls[0].resistance == "MRE" and calls[0].delta == 0.05
+
+    @pytest.mark.parametrize("scale", [1.0, 0.8])
+    def test_trefoil_check_prints_its_margin(self, monkeypatch, scale):
+        """c12d prints how far below (or above) delta the smallest
+        alternated cycle ends; the check itself reads `area < delta`."""
+        from flatknot.diagram import detect_crossings, enumerate_cycles
+
+        c = trefoil_curve(256).scaled(scale)
+        monkeypatch.setattr(verify, "_flow_cache", {"trefoil": (SimpleNamespace(final_curve=c), 0.0)})
+        ok, detail = verify.check_flow_trefoil()
+        areas = [cy.area for cy in enumerate_cycles(detect_crossings(c)) if cy.alternated]
+        margin = min(areas) - 0.2
+        assert f"min area - delta {margin:.1e}," in detail
+        assert ok == (margin < 0)
 
     def test_unknown_group(self, capsys):
         assert main(["verify", "--only", "nonsense"]) == 2

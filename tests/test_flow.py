@@ -25,7 +25,7 @@ from flatknot.flow import (
     resistance_breakdown,
     total_energy,
 )
-from flatknot.pendulum import build_infinity_curve
+from flatknot.pendulum import build_infinity_curve, elliptic_k, find_critical_xi
 from flatknot.uniformization import (
     EnergyFunctional,
     F_X2,
@@ -243,6 +243,70 @@ class TestFlowStep:
         assert n1 <= n0 / 10
 
 
+def eight_flow(n):
+    """The figure-eight flow of `flatknot verify` (c12b) at n samples."""
+    cfg = FlowConfig(resistance="none", step0=1e-4, grad_tol=3e-4, max_iters=6000)
+    return relax(noisy_figure_eight(n, seed=11, amplitude=0.02), cfg)
+
+
+class TestH1Step:
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_fourier_modes(self, n):
+        """P = I - d^2/ds^2 on length 2pi: frequency m is divided by 1 + m^2,
+        to the rounding of one FFT pair."""
+        theta = TWO_PI * np.arange(n) / n
+        for m in (0, 1, 2, 7, n // 2 - 1, n // 2):
+            for mode in (np.cos(m * theta), np.sin(m * theta)):
+                got = flow._precondition(mode)
+                assert np.abs(got - mode / (1 + m * m)).max() <= 1e-14
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_direction_closed_and_descending(self, k):
+        """Under RE on random curves, d is L^2-orthogonal to both closure
+        directions and h <grad, d> > 0, so -d descends."""
+        c, _ = random_immersed_curves(4, seed=8, n=128)[k]
+        cfg = FlowConfig(resistance="RE")
+        x = flow._start(c, cfg)
+        g = x.gauss
+        grad = flow._projected_gradient(x, cfg)
+        d = flow._h1_direction(g, grad)
+        h = TWO_PI / g.n
+        for direction in (np.sin(g.alpha), np.cos(g.alpha)):
+            assert abs(h * np.dot(d, direction)) <= 1e-12 * gradient_norm(g, d)
+        assert h * np.dot(grad, d) > 0
+        # the preconditioner shrinks every frequency
+        assert 0 < gradient_norm(g, d) < gradient_norm(g, grad)
+
+    def test_l2_step_is_the_oracle(self, monkeypatch):
+        """With the preconditioner set to the identity the step is the
+        plain L^2 step.  Both flows reach the same elastica, and the H^1
+        flow needs at most a fifth of the L^2 flow's iterates."""
+        h1 = eight_flow(256)
+        monkeypatch.setattr(flow, "_precondition", lambda v: v)
+        l2 = eight_flow(256)
+        assert h1.terminated == l2.terminated == "converged"
+        u_h1, u_l2 = h1.energies[-1][1], l2.energies[-1][1]
+        assert abs(u_h1 - u_l2) <= 1e-9 * u_l2
+        assert len(h1.energies) <= len(l2.energies) / 5
+
+    def test_second_order_in_n(self):
+        """The relaxed eight converges to the elastica energy
+        32 K(xi)^2 / pi (xi^2 - 1/2) at second order in N, and the
+        Richardson value from N = 512 and 1024 meets it."""
+        xi = find_critical_xi(2)
+        exact = 32 * elliptic_k(xi) ** 2 / np.pi * (xi**2 - 0.5)
+        traces = {n: eight_flow(n) for n in (256, 512, 1024)}
+        assert all(tr.terminated == "converged" for tr in traces.values())
+        u = {n: tr.energies[-1][1] for n, tr in traces.items()}
+        err = {n: exact - un for n, un in u.items()}
+        assert err[256] / err[512] == pytest.approx(4, abs=0.05)
+        assert err[512] / err[1024] == pytest.approx(4, abs=0.05)
+        richardson = (4 * u[1024] - u[512]) / 3
+        assert abs(richardson - exact) <= 1e-9 * exact
+        for n, cap in ((256, 100), (512, 150), (1024, 300)):
+            assert len(traces[n].energies) <= cap, n
+
+
 class TestClassify:
     def test_no_change_is_none(self, trefoil_diagram):
         assert classify_event(trefoil_diagram, trefoil_diagram) is None
@@ -311,6 +375,19 @@ class TestRelax:
         assert all(abs(L - TWO_PI) < 1e-8 for L in lengths)
         for (_, u, r, t) in tr.energies:
             assert t == pytest.approx(u + r, abs=1e-8)
+
+    @pytest.mark.parametrize("max_iters", [15, 2000])
+    def test_per_step_fields(self, max_iters):
+        """One grad_norm, step and backtracks entry per step taken: a
+        converged flow takes one step fewer than it records iterates."""
+        cfg = FlowConfig(resistance="MRE", delta=0.05, grad_tol=2e-3, max_iters=max_iters)
+        tr = relax(noisy_circle(128, seed=5), cfg)
+        taken = len(tr.energies) - (tr.terminated == "converged")
+        assert tr.terminated == ("max_iters" if max_iters == 15 else "converged")
+        assert len(tr.grad_norms) == len(tr.steps) == len(tr.backtracks) == taken
+        assert all(b >= 0 for b in tr.backtracks)
+        assert all(0 < s <= 1.0 for s in tr.steps)
+        assert all(gn >= cfg.grad_tol for gn in tr.grad_norms)
 
     def test_whitney_stays_put(self):
         cfg = FlowConfig(resistance="none", step0=1e-4, grad_tol=1e-3, max_iters=120)

@@ -53,6 +53,10 @@ def test_trace_jsonl(tmp_path):
     for rec, (it, u, r, total) in zip(lines, tr.energies):
         assert rec["iter"] == it
         assert rec["U"] + rec["R"] == pytest.approx(total, abs=1e-8)
+    # each iterate a step was taken from carries that step
+    stepped = [(rec["grad_norm"], rec["step"], rec["backtracks"]) for rec in lines if "step" in rec]
+    assert stepped == list(zip(tr.grad_norms, tr.steps, tr.backtracks))
+    assert len(stepped) == len(tr.steps) > 0
 
 
 class TestSvg:
