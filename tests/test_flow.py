@@ -25,7 +25,7 @@ from flatknot.flow import (
     resistance_breakdown,
     total_energy,
 )
-from flatknot.pendulum import build_infinity_curve, elliptic_k, find_critical_xi
+from flatknot.pendulum import build_infinity_curve, elliptic_k
 from flatknot.uniformization import (
     EnergyFunctional,
     F_X2,
@@ -289,11 +289,11 @@ class TestH1Step:
         assert abs(u_h1 - u_l2) <= 1e-9 * u_l2
         assert len(h1.energies) <= len(l2.energies) / 5
 
-    def test_second_order_in_n(self):
+    def test_second_order_in_n(self, critical_xi):
         """The relaxed eight converges to the elastica energy
         32 K(xi)^2 / pi (xi^2 - 1/2) at second order in N, and the
         Richardson value from N = 512 and 1024 meets it."""
-        xi = find_critical_xi(2)
+        xi = critical_xi
         exact = 32 * elliptic_k(xi) ** 2 / np.pi * (xi**2 - 0.5)
         traces = {n: eight_flow(n) for n in (256, 512, 1024)}
         assert all(tr.terminated == "converged" for tr in traces.values())
