@@ -13,7 +13,7 @@ for n in range(1, 7):
     print(f"{n}   {(n + 1) ** 2:>8}   {grid_cycle_count(n):>14,}")
 
 print("\nn   alternated in G*(n)   binomial lower bound")
-for n in range(1, 5):
+for n in range(1, 7):
     print(f"{n}   {gstar_alternated_count(n):>19}   {gstar_lower_bound(n):>20}")
 
 print("\nYoung-diagram disks in G(n): C(2n, n) - 1 =", [comb(2 * n, n) - 1 for n in range(1, 7)])

@@ -32,7 +32,7 @@ from .jsonio import (
     load_json,
     write_trace_jsonl,
 )
-from .lattice import grid_cycle_count, gstar_alternated_count, woven_fragment
+from .lattice import _TABLE_MAX_N, grid_cycle_count, woven_fragment
 from .pendulum import build_infinity_curve, find_critical_xi
 from .svg import RenderSpec, curve_svg, diagram_svg
 from .uniformization import F_X, F_X2, F_X4, el_residual, energy_uf, gradient_norm, power_functional, uf_gradient
@@ -122,7 +122,9 @@ def cmd_cycles(args) -> int:
             print(json.dumps({"total": grid_cycle_count(args.grid)}))
             return EXIT_OK
         if args.gstar is not None:
-            cycles = enumerate_cycles_graph(woven_fragment(args.gstar + 1))
+            if not 1 <= args.gstar <= _TABLE_MAX_N:
+                raise ValueError(f"n out of supported range 1..{_TABLE_MAX_N}")
+            cycles = enumerate_cycles_graph(woven_fragment(args.gstar + 1), max_cycles=args.limit)
             print(json.dumps(census_to_json(cycles)))
             return EXIT_OK
         obj = load_json(args.diagram)

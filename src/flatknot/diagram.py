@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -66,11 +67,20 @@ class DiagramCycle:
     n_arcs: int  # number of turn crossings, at least 1
     alternated: bool
     area: float
-    polyline: np.ndarray
+    edges: list[Edge] = field(repr=False, compare=False)  # the map's edge table
 
     @property
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.edge_ids))
+
+    @property
+    def polyline(self) -> np.ndarray:
+        """The closed polyline, built on demand: each edge's points in
+        traversal order, without the point that starts the next edge."""
+        return np.vstack([
+            (self.edges[eid].points if fwd else self.edges[eid].points[::-1])[:-1]
+            for eid, fwd in zip(self.edge_ids, self.orientations)
+        ])
 
 
 @dataclass(frozen=True)
@@ -106,10 +116,6 @@ class DiagramGraph:
                 self.slot_edge[c][s] = eid
         return eid
 
-    def edge_polyline(self, eid: int, forward: bool) -> np.ndarray:
-        pts = self.edges[eid].points
-        return pts if forward else pts[::-1]
-
 
 def signed_area(points: np.ndarray) -> float:
     """Signed shoelace area of a closed polyline (last edge implied),
@@ -123,6 +129,34 @@ def signed_area(points: np.ndarray) -> float:
 def shoelace_area(points: np.ndarray) -> float:
     """Absolute shoelace area of a closed polyline (last edge implied)."""
     return abs(signed_area(points))
+
+
+def _walk_areas(g: DiagramGraph, eids):
+    """A function giving the signed area of a closed walk of darts
+    `(edge id, forward?)` over the edges `eids`: the sum of the edges'
+    lobes (each edge's shoelace about its first point), signed by
+    direction, plus the shoelace of the walk's corners about the first
+    one.  This is the polyline shoelace about its first vertex, regrouped.
+    """
+    lobe, ends = {}, {}
+    for eid in eids:
+        pts = g.edges[eid].points
+        lobe[eid] = signed_area(pts)
+        ends[eid] = (pts[0].tolist(), pts[-1].tolist())
+
+    def area(walk):
+        eid, fwd = walk[0]
+        x0, y0 = ends[eid][not fwd]  # where the walk starts
+        total = corner = px = py = 0.0
+        for eid, fwd in walk:
+            x, y = ends[eid][fwd]
+            x, y = x - x0, y - y0
+            total += lobe[eid] if fwd else -lobe[eid]
+            corner += px * y - py * x
+            px, py = x, y
+        return total + corner / 2.0
+
+    return area
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +337,12 @@ class KnotDiagram:
     def scaled(self, s: float) -> "KnotDiagram":
         return detect_crossings(self.curve.scaled(s)).relabelled(cr.first_over for cr in self.crossings)
 
+    @cached_property
+    def _census(self) -> tuple["DiagramCycle", ...]:
+        """The uncapped cycle census, searched once per instance; new
+        geometry or labels make a new instance."""
+        return tuple(_search(self, None, None, DEFAULT_CYCLE_LIMIT))
+
 
 # ---------------------------------------------------------------------------
 # cycle enumeration
@@ -337,6 +377,7 @@ def enumerate_cycles_graph(
                 fwd = (c, s_out) == e0
                 darts[c].append((s_out, eid, fwd, e1 if fwd else e0))
     over = g.over_strand
+    area_of = _walk_areas(g, allowed)
     found: list[DiagramCycle] = []
 
     def passed(c, s_in, s_out, turns, levels):
@@ -350,12 +391,11 @@ def enumerate_cycles_graph(
         n_arcs = max(1, turns)
         if arc_cap is not None and n_arcs > arc_cap:
             return
-        poly = np.vstack([g.edge_polyline(eid, fwd)[:-1] for eid, fwd in path])
-        area = shoelace_area(poly)
+        area = abs(area_of(path))
         if area_cap is not None and area >= area_cap:
             return
         edge_ids, orientations = zip(*path)
-        found.append(DiagramCycle(edge_ids, orientations, n_arcs, levels != 3, area, poly))
+        found.append(DiagramCycle(edge_ids, orientations, n_arcs, levels != 3, area, g.edges))
         if len(found) > max_cycles:
             raise CycleExplosionError(
                 f"cycle explosion: more than {max_cycles} cycles", len(found)
@@ -399,11 +439,21 @@ def enumerate_cycles(
     arc_cap: int | None = None,
     max_cycles: int = DEFAULT_CYCLE_LIMIT,
 ) -> list[DiagramCycle]:
-    """Every embedded circle of the diagram, deduplicated and ordered."""
+    """Every embedded circle of the diagram, deduplicated and ordered.
+
+    Without caps this is a fresh list of the diagram's cached census.
+    """
+    if area_cap is None and arc_cap is None and max_cycles == DEFAULT_CYCLE_LIMIT:
+        return list(d._census)
+    return _search(d, area_cap, arc_cap, max_cycles)
+
+
+def _search(d: KnotDiagram, area_cap, arc_cap, max_cycles) -> list[DiagramCycle]:
     if d.n_crossings == 0:
         # the curve itself, one closed arc, vacuously alternated
-        poly = d.curve.points
-        cy = DiagramCycle((0,), (True,), 1, True, shoelace_area(poly), poly)
+        pts = d.curve.points
+        edge = Edge(None, None, np.vstack([pts, pts[:1]]))
+        cy = DiagramCycle((0,), (True,), 1, True, shoelace_area(pts), [edge])
         if area_cap is not None and cy.area >= area_cap:
             return []
         if arc_cap is not None and cy.n_arcs > arc_cap:
@@ -435,7 +485,7 @@ def _breakdown(cycles, family, delta=None) -> EnergyBreakdown:
 
 def resistance_energy(d: KnotDiagram) -> EnergyBreakdown:
     """RE = sum of 1/area over all alternated cycles."""
-    cycles = [cy for cy in enumerate_cycles(d) if cy.alternated]
+    cycles = [cy for cy in d._census if cy.alternated]
     return _breakdown(cycles, "RE")
 
 
@@ -514,6 +564,7 @@ def diagram_faces(d: KnotDiagram):
     """
     g = d.graph
     rot = _rotations(g)
+    area_of = _walk_areas(g, range(len(g.edges)))
     darts = set()
     for eid, (e0, e1, _, _) in enumerate(g.edges):
         if e0 is not None and e1 is not None:
@@ -540,8 +591,7 @@ def diagram_faces(d: KnotDiagram):
             dart = (nid, (c, s_out) == n0)
             if dart == start:
                 break
-        pts = np.vstack([g.edge_polyline(eid, fwd)[:-1] for eid, fwd in walk])
-        faces.append((frozenset(eid for eid, _ in walk), signed_area(pts), walk))
+        faces.append((frozenset(eid for eid, _ in walk), area_of(walk), walk))
     return faces
 
 

@@ -111,6 +111,16 @@ class TestCyclesCmd:
         assert census["total"] == 13
         assert census["alternated"] == 4
 
+    def test_gstar_honours_limit(self, capsys):
+        assert main(["cycles", "--gstar", "2", "--limit", "5"]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "cycle explosion", "partial": 6}
+
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_gstar_range(self, n, capsys):
+        assert main(["cycles", "--gstar", n]) == 2
+        assert "out of supported range" in capsys.readouterr().err
+
     def test_gstar_full_census(self, capsys):
         assert main(["cycles", "--gstar", "3"]) == 0
         assert json.loads(capsys.readouterr().out) == {

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from math import factorial
 
+from flatknot import diagram as diagram_module
 from flatknot.curve import ClosedCurve, resample_arclength
 from flatknot.diagram import (
     DiagramGraph,
@@ -21,9 +22,11 @@ from flatknot.diagram import (
 from flatknot.errors import CodimensionOneError, CycleExplosionError, SingularDiagramError
 from flatknot.fixtures import (
     circle_curve,
+    limacon_curve,
     random_immersed_curves,
     trefoil_curve,
 )
+from flatknot.flow import _cycle_vertex_ids
 from flatknot.lattice import woven_fragment
 
 TWO_PI = 2 * np.pi
@@ -188,6 +191,18 @@ def oracle_graphs():
         graphs.append((f"random{k}-relabelled", d.relabelled(rng.random(d.n_crossings) < 0.5).graph))
     graphs += [(f"woven{m}", woven_fragment(m)) for m in (2, 3, 4)]
     return graphs
+
+
+def tiny_loop_far_out():
+    """A limacon whose inner loop has area 8e-6, moved far from the origin."""
+    c = limacon_curve(512, inner=1.02)
+    return detect_crossings(ClosedCurve(c.points + [1e3, -2e3], c.length))
+
+
+def walk_polyline(g, walk):
+    """Oracle: the closed polyline of a walk of darts (edge id, forward?),
+    each edge's points stacked in traversal order without its last point."""
+    return np.vstack([(g.edges[e].points if fwd else g.edges[e].points[::-1])[:-1] for e, fwd in walk])
 
 
 class TestDetect:
@@ -389,6 +404,75 @@ class TestAreas:
         for cy in cycles:
             assert cy.area == pytest.approx(ear_clip_area(cy.polyline), abs=1e-9)
 
+    def test_lobe_areas_match_polyline_shoelace(self):
+        graphs = oracle_graphs() + [("tiny loop far out", tiny_loop_far_out().graph)]
+        for name, g in graphs:
+            for cy in enumerate_cycles_graph(g):
+                assert cy.area == pytest.approx(shoelace_area(cy.polyline), rel=1e-12, abs=0), name
+
+    def test_polyline_stacks_edge_points(self):
+        for name, g in oracle_graphs():
+            for cy in enumerate_cycles_graph(g):
+                want = walk_polyline(g, zip(cy.edge_ids, cy.orientations))
+                assert cy.polyline.shape == want.shape and cy.polyline.tobytes() == want.tobytes(), name
+
+    def test_polyline_from_samples_and_crossings(self, trefoil_diagram):
+        d = trefoil_diagram
+        verts = np.vstack([d.curve.points, [cr.position for cr in d.crossings]])
+        for cy in enumerate_cycles(d):
+            assert cy.polyline.tobytes() == verts[_cycle_vertex_ids(d, cy, d.curve.n)].tobytes()
+
+
+class TestSharedCensus:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The calls of the cycle search, counted."""
+        calls = []
+        search = diagram_module.enumerate_cycles_graph
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(diagram_module, "enumerate_cycles_graph", counted)
+        return calls
+
+    def test_census_and_re_search_once(self, searches):
+        d = detect_crossings(trefoil_curve(256))
+        cycles = enumerate_cycles(d)
+        re = resistance_energy(d)
+        assert len(searches) == 1
+        assert re.total == sum(1.0 / cy.area for cy in cycles if cy.alternated)
+
+    def test_relabelled_searches_afresh(self, searches):
+        d = detect_crossings(trefoil_curve(256))
+        before = enumerate_cycles(d)
+        flipped = d.relabelled(cr.first_over != (k == 0) for k, cr in enumerate(d.crossings))
+        after = enumerate_cycles(flipped)
+        assert len(searches) == 2
+        for cy in after:
+            _, arcs = split_into_arcs(flipped.graph, cy)
+            assert cy.alternated == all(start != end for start, end in arcs)
+        assert all(cy.alternated for cy in before)
+        assert not all(cy.alternated for cy in after)
+        assert resistance_energy(flipped).total < resistance_energy(d).total
+        assert len(searches) == 2
+
+    def test_returned_list_is_fresh(self, searches):
+        d = detect_crossings(trefoil_curve(256))
+        first = enumerate_cycles(d)
+        first.clear()
+        assert len(enumerate_cycles(d)) == 11
+        assert len(resistance_energy(d).cycles) == 11
+
+    def test_capped_calls_search(self, searches):
+        d = detect_crossings(trefoil_curve(256))
+        enumerate_cycles(d)
+        assert len(enumerate_cycles(d, area_cap=1e9)) == 11
+        assert len(enumerate_cycles(d, arc_cap=2)) == 9
+        assert len(enumerate_cycles(d, max_cycles=11)) == 11
+        assert len(searches) == 4
+
 
 class TestResistanceEnergies:
     def test_circle_re(self):
@@ -510,6 +594,18 @@ class TestFaces:
         faces = diagram_faces(trefoil_diagram)
         signed = sorted(a for _, a, _ in faces)
         assert signed[0] == pytest.approx(-sum(signed[1:]), abs=1e-9)
+
+    def test_areas_match_polyline_shoelace(self, trefoil_diagram):
+        diagrams = [trefoil_diagram, tiny_loop_far_out()]
+        diagrams += [d for _, d in random_immersed_curves(8, seed=13, n=200)]
+        for d in diagrams:
+            faces = diagram_faces(d)
+            for _, area, walk in faces:
+                want = signed_area(walk_polyline(d.graph, walk))
+                assert area == pytest.approx(want, rel=1e-12, abs=0)
+            signed = sorted(a for _, a, _ in faces)
+            assert signed[0] < 0 < signed[1]
+            assert signed[0] == pytest.approx(-sum(signed[1:]), rel=1e-12)
 
     @given(st.integers(0, 10))
     def test_euler_random(self, idx):

@@ -143,11 +143,21 @@ def young_diagram_cycles(n):
 
 
 class TestGstar:
-    @pytest.mark.parametrize("n,frozen", [(1, 1), (2, 4), (3, 35), (4, 308)])
+    # G*(5) was checked once against the run-parity rule on all 1,222,363
+    # cycles of G(5); G*(6) is the DP's own value
+    @pytest.mark.parametrize(
+        "n,frozen", [(1, 1), (2, 4), (3, 35), (4, 308), (5, 7821), (6, 290282)]
+    )
     def test_frozen_counts_and_bound(self, n, frozen):
         cnt = gstar_alternated_count(n)
         assert cnt == frozen
         assert cnt >= gstar_lower_bound(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_enumeration_oracle(self, n):
+        # the woven fragment's alternation bits, from the cycle search
+        cycles = enumerate_cycles_graph(woven_fragment(n + 1))
+        assert sum(cy.alternated for cy in cycles) == gstar_alternated_count(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_independent_alternation_oracle(self, n):
@@ -155,9 +165,10 @@ class TestGstar:
         oracle = sum(1 for lp in loops if alternated_by_run_parity(lp))
         assert gstar_alternated_count(n) == oracle
 
-    def test_range(self):
-        with pytest.raises(ValueError):
-            gstar_alternated_count(5)
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_range(self, n):
+        with pytest.raises(ValueError, match="out of supported range"):
+            gstar_alternated_count(n)
 
 
 class TestYoungDiagrams:
