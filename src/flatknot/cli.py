@@ -56,7 +56,7 @@ def _functional(name: str):
         from .fixtures import collapse_functional
 
         return collapse_functional()
-    raise SystemExit(EXIT_USAGE)
+    raise ValueError(f"unknown functional {name!r}")
 
 
 def cmd_pendulum(args) -> int:

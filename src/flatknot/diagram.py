@@ -339,9 +339,9 @@ class KnotDiagram:
 
     @cached_property
     def _census(self) -> tuple["DiagramCycle", ...]:
-        """The uncapped cycle census, searched once per instance; new
+        """The cycle census, searched once per instance; new
         geometry or labels make a new instance."""
-        return tuple(_search(self, None, None, DEFAULT_CYCLE_LIMIT))
+        return tuple(_search(self, DEFAULT_CYCLE_LIMIT))
 
 
 # ---------------------------------------------------------------------------
@@ -433,33 +433,22 @@ def enumerate_cycles_graph(
     return found
 
 
-def enumerate_cycles(
-    d: KnotDiagram,
-    area_cap: float | None = None,
-    arc_cap: int | None = None,
-    max_cycles: int = DEFAULT_CYCLE_LIMIT,
-) -> list[DiagramCycle]:
-    """Every embedded circle of the diagram, deduplicated and ordered.
-
-    Without caps this is a fresh list of the diagram's cached census.
-    """
-    if area_cap is None and arc_cap is None and max_cycles == DEFAULT_CYCLE_LIMIT:
+def enumerate_cycles(d: KnotDiagram, max_cycles: int = DEFAULT_CYCLE_LIMIT) -> list[DiagramCycle]:
+    """Every embedded circle of the diagram, canonically ordered: a fresh
+    list of the diagram's cached census.  Another `max_cycles` searches
+    anew, so that the limit it sets is enforced."""
+    if max_cycles == DEFAULT_CYCLE_LIMIT:
         return list(d._census)
-    return _search(d, area_cap, arc_cap, max_cycles)
+    return _search(d, max_cycles)
 
 
-def _search(d: KnotDiagram, area_cap, arc_cap, max_cycles) -> list[DiagramCycle]:
+def _search(d: KnotDiagram, max_cycles) -> list[DiagramCycle]:
     if d.n_crossings == 0:
         # the curve itself, one closed arc, vacuously alternated
         pts = d.curve.points
         edge = Edge(None, None, np.vstack([pts, pts[:1]]))
-        cy = DiagramCycle((0,), (True,), 1, True, shoelace_area(pts), [edge])
-        if area_cap is not None and cy.area >= area_cap:
-            return []
-        if arc_cap is not None and cy.n_arcs > arc_cap:
-            return []
-        return [cy]
-    return enumerate_cycles_graph(d.graph, area_cap, arc_cap, max_cycles)
+        return [DiagramCycle((0,), (True,), 1, True, shoelace_area(pts), [edge])]
+    return enumerate_cycles_graph(d.graph, max_cycles=max_cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -489,43 +478,48 @@ def resistance_energy(d: KnotDiagram) -> EnergyBreakdown:
     return _breakdown(cycles, "RE")
 
 
-def mre(d: KnotDiagram, delta: float) -> EnergyBreakdown:
-    """Material resistance energy: sum of (1/A - 1/delta) over alternated
-    cycles with area < delta.
+def _critical_cycles(d: KnotDiagram, delta: float, arc_cap: int | None = None) -> list[DiagramCycle]:
+    """The delta-critical cycles, those of area < delta, with at most
+    `arc_cap` arcs, canonically ordered.
 
-    Two-step evaluation: faces of area < delta seed the low-area domains,
-    and only cycles supported on a domain's closure are enumerated.
-    Every delta-critical cycle bounds a union of such faces, so nothing
-    is missed.
+    A cycle bounds a union of faces, so one of area < delta encloses only
+    faces of area < delta and each of its edges borders one of them: the
+    search runs on the edges of the bounded faces of area < delta.  It
+    finds each such cycle once, from its least edge id along the same
+    darts as a search of the whole map, so areas and order are those of
+    the whole-map search.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     if d.n_crossings == 0:
-        return _breakdown([cy for cy in enumerate_cycles(d, area_cap=delta) if cy.alternated], "MRE", delta)
+        return [cy for cy in d._census if cy.area < delta]
+    faces = diagram_faces(d)
+    outer = min(range(len(faces)), key=lambda i: faces[i][1])
+    low = set()
+    for i, (edge_ids, area, _) in enumerate(faces):
+        if i != outer and abs(area) < delta:
+            low |= edge_ids
+    if not low:
+        return []
+    return enumerate_cycles_graph(d.graph, area_cap=delta, arc_cap=arc_cap, edge_subset=low)
 
-    domains = _low_area_domains(d, delta)
-    seen = {}
-    for edge_ids in domains:
-        for cy in enumerate_cycles_graph(d.graph, area_cap=delta, edge_subset=edge_ids):
-            if cy.alternated:
-                seen.setdefault(cy.key, cy)
-    cycles = sorted(seen.values(), key=lambda cy: (cy.n_arcs, cy.key))
-    return _breakdown(cycles, "MRE", delta)
+
+def mre(d: KnotDiagram, delta: float) -> EnergyBreakdown:
+    """Material resistance energy: sum of (1/A - 1/delta) over the
+    delta-critical alternated cycles."""
+    return _breakdown([cy for cy in _critical_cycles(d, delta) if cy.alternated], "MRE", delta)
 
 
 def gmre(d: KnotDiagram, delta: float) -> EnergyBreakdown:
-    """Genericity modification: delta-critical alternated cycles with at
-    most 3 arcs, plus every delta-critical 4-arc cycle, alternated or not."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    """Genericity modification: the delta-critical alternated cycles with
+    at most 3 arcs, plus every delta-critical 4-arc cycle, alternated or
+    not.  At delta = inf the 1/delta term is 0 and no area is capped."""
     cycles = [
         cy
-        for cy in enumerate_cycles(d, area_cap=delta, arc_cap=4)
+        for cy in _critical_cycles(d, delta, arc_cap=4)
         if cy.n_arcs <= 3 and cy.alternated or cy.n_arcs == 4
     ]
-    dlt = None if np.isinf(delta) else delta
-    bd = _breakdown(cycles, "GMRE", dlt)
-    return EnergyBreakdown(bd.total, bd.per_cycle, "GMRE", delta, bd.cycles)
+    return _breakdown(cycles, "GMRE", delta)
 
 
 def gamma_bound(n_crossings: int) -> float:
@@ -535,7 +529,7 @@ def gamma_bound(n_crossings: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# faces of the planar map (used by the MRE low-area seeding step)
+# faces of the planar map (used by the delta-critical cycle search)
 # ---------------------------------------------------------------------------
 
 
@@ -593,49 +587,3 @@ def diagram_faces(d: KnotDiagram):
                 break
         faces.append((frozenset(eid for eid, _ in walk), area_of(walk), walk))
     return faces
-
-
-def _low_area_domains(d: KnotDiagram, delta: float):
-    """Edge-id sets of the connected low-area domains.
-
-    Bounded faces of area < delta are grouped when they share an edge or
-    a crossing (vertex-pinched interiors stay together).
-    """
-    faces = diagram_faces(d)
-    outer = min(range(len(faces)), key=lambda i: faces[i][1])
-    low = [
-        i
-        for i in range(len(faces))
-        if i != outer and abs(faces[i][1]) < delta
-    ]
-    if not low:
-        return []
-    g = d.graph
-
-    def face_crossings(i):
-        out = set()
-        for eid in faces[i][0]:
-            for end in g.edges[eid][:2]:
-                if end is not None:
-                    out.add(end[0])
-        return out
-
-    fc = {i: face_crossings(i) for i in low}
-    parent = {i: i for i in low}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a_i, i in enumerate(low):
-        for j in low[a_i + 1 :]:
-            if faces[i][0] & faces[j][0] or fc[i] & fc[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in low:
-        groups.setdefault(find(i), set()).update(faces[i][0])
-    return list(groups.values())

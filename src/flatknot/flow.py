@@ -514,9 +514,10 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
     unit-speed integrals, so every recorded curve has length 2pi.  The
     trace records (U, R, total) and the GMRE monitor value per iterate;
     any event other than R2/R3 aborts with terminated = "forbidden_event".
-    A stalled line search is recorded as convergence (the iterate is a
-    numerical critical point); a frozen cycle of zero area ends the flow
-    with terminated = "singular".
+    The flow ends "converged" when the projected gradient norm falls
+    below grad_tol, and "stalled" when the line search finds no step (a
+    finding records the gradient norm it stopped at); a frozen cycle of
+    zero area ends it with terminated = "singular".
     """
     trace = FlowTrace()
     try:
@@ -547,7 +548,7 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
         try:
             y, accepted = _step_from_alpha(x, grad, cfg, step)
         except StalledError:
-            trace.terminated = "converged"
+            trace.terminated = "stalled"
             trace.findings.append(f"iter {it}: line search stalled at |grad| = {gnorm:.3e}")
             break
         trace.grad_norms.append(gnorm)

@@ -16,7 +16,7 @@ whose positive root is xi ~= 0.90890856.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -106,17 +106,14 @@ class PendulumParams:
     xi: float
     r: int
     t0: float = 0.0
-    omega: float = None  # type: ignore[assignment]
+    omega: float = field(init=False)
 
     def __post_init__(self):
         if not abs(self.xi) < 1.0:
             raise ModulusRangeError("modulus out of range")
         if self.r == 0:
             raise ValueError("r must be a nonzero integer")
-        omega = self.r * elliptic_k(self.xi) / np.pi
-        if self.omega is not None and abs(self.omega - omega) > 1e-12 * max(1.0, abs(omega)):
-            raise ValueError("omega inconsistent with r K(xi)/pi")
-        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "omega", self.r * elliptic_k(self.xi) / np.pi)
 
 
 def pendulum_alpha(p: PendulumParams, n: int) -> GaussRep:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fixtures
 from .curve import align_rigid, gauss_from_curve, closure_report, whitney_index, TWO_PI
-from .diagram import detect_crossings, enumerate_cycles, gamma_bound, resistance_energy
+from .diagram import detect_crossings, enumerate_cycles, enumerate_cycles_graph, gamma_bound, resistance_energy
 from .errors import ParityObstructionError
 from .flow import FlowConfig, relax, total_energy
 from .lattice import grid_cycle_count, gstar_alternated_count, gstar_lower_bound
@@ -242,7 +242,7 @@ def check_gamma_bound():
     violations = []
     for idx, (c, d) in enumerate(pool):
         n = d.n_crossings
-        cycles = enumerate_cycles(d, arc_cap=4)
+        cycles = enumerate_cycles_graph(d.graph, arc_cap=4)
         gamma = [
             cy for cy in cycles if (cy.n_arcs <= 3 and cy.alternated) or cy.n_arcs == 4
         ]

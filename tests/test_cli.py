@@ -70,6 +70,10 @@ class TestEnergyCmd:
         assert main(["energy", str(trefoil_json), "--family", family, "--delta", "nan"]) == 2
         assert "delta must be positive" in capsys.readouterr().err
 
+    def test_unknown_functional_is_usage_error(self, trefoil_json, capsys):
+        assert main(["energy", str(trefoil_json), "--f", "foo"]) == 2
+        assert "unknown functional 'foo'" in capsys.readouterr().err
+
 
 class TestCyclesCmd:
     def test_trefoil_census(self, trefoil_json, capsys):
@@ -163,6 +167,29 @@ class TestRelaxCmd:
         )
         outdir = tmp_path / "run"
         assert main(["relax", str(curve_path), str(cfg_path), str(outdir)]) == 5
+
+    def test_unknown_functional_is_usage_error(self, tmp_path, capsys):
+        curve_path = tmp_path / "circle.json"
+        dump_json(curve_to_json(noisy_circle(128, seed=5)), curve_path)
+        cfg_path = tmp_path / "cfg.json"
+        dump_json({"functional": "foo"}, cfg_path)
+        assert main(["relax", str(curve_path), str(cfg_path), str(tmp_path / "run")]) == 2
+        assert "unknown functional 'foo'" in capsys.readouterr().err
+
+    def test_stalled_exit(self, tmp_path, capsys, monkeypatch):
+        from flatknot import flow
+        from flatknot.errors import StalledError
+
+        def stall(*args):
+            raise StalledError("stalled")
+
+        monkeypatch.setattr(flow, "_step_from_alpha", stall)
+        curve_path = tmp_path / "circle.json"
+        dump_json(curve_to_json(noisy_circle(128, seed=5)), curve_path)
+        cfg_path = tmp_path / "cfg.json"
+        dump_json({"resistance": "none", "max_iters": 5}, cfg_path)
+        assert main(["relax", str(curve_path), str(cfg_path), str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().out.startswith("terminated: stalled after 1 iterations")
 
 
 class TestRenderCmd:

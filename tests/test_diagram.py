@@ -337,10 +337,11 @@ class TestEnumerate:
         assert cycles[0].alternated and cycles[0].n_arcs == 1
 
     def test_caps(self, trefoil_diagram):
-        assert len(enumerate_cycles(trefoil_diagram, arc_cap=2)) == 9
+        g = trefoil_diagram.graph
+        assert len(enumerate_cycles_graph(g, arc_cap=2)) == 9
         areas = [cy.area for cy in enumerate_cycles(trefoil_diagram)]
         cap = sorted(areas)[4]
-        assert len(enumerate_cycles(trefoil_diagram, area_cap=cap)) == 4
+        assert len(enumerate_cycles_graph(g, area_cap=cap)) == 4
 
     def test_explosion_guard(self, trefoil_diagram):
         with pytest.raises(CycleExplosionError, match="cycle explosion") as err:
@@ -466,12 +467,20 @@ class TestSharedCensus:
         assert len(resistance_energy(d).cycles) == 11
 
     def test_capped_calls_search(self, searches):
+        """Capped searches of the map, and a census under another limit,
+        each search anew past the cached census."""
         d = detect_crossings(trefoil_curve(256))
         enumerate_cycles(d)
-        assert len(enumerate_cycles(d, area_cap=1e9)) == 11
-        assert len(enumerate_cycles(d, arc_cap=2)) == 9
+        assert len(diagram_module.enumerate_cycles_graph(d.graph, area_cap=1e9)) == 11
+        assert len(diagram_module.enumerate_cycles_graph(d.graph, arc_cap=2)) == 9
         assert len(enumerate_cycles(d, max_cycles=11)) == 11
         assert len(searches) == 4
+
+    def test_mre_and_gmre_search_once_each(self, searches):
+        # three separate groups of faces of area < 0.05, searched together
+        _, d = random_immersed_curves(11, seed=77, n=200)[4]
+        assert len(mre(d, 0.05).cycles) == len(gmre(d, 0.05).cycles) == 4
+        assert len(searches) == 2
 
 
 class TestResistanceEnergies:
@@ -519,12 +528,10 @@ class TestMre:
         pool = random_immersed_curves(11, seed=77, n=200)
         _, d = pool[idx]
         for delta in (0.05, 0.3, 1.0):
-            naive = sum(
-                1 / cy.area - 1 / delta
-                for cy in enumerate_cycles(d)
-                if cy.alternated and cy.area < delta
-            )
-            assert mre(d, delta).total == pytest.approx(naive, abs=1e-10)
+            naive = [cy for cy in enumerate_cycles(d) if cy.alternated and cy.area < delta]
+            bd = mre(d, delta)
+            assert [cy.key for cy in bd.cycles] == [cy.key for cy in naive]
+            assert bd.total == sum(1 / cy.area - 1 / delta for cy in naive)
 
     def test_contributions_positive(self, trefoil_diagram):
         bd = mre(trefoil_diagram, 0.9)
@@ -578,10 +585,55 @@ class TestGmre:
         _, d = pool[idx]
         n = d.n_crossings
         counts = {}
-        for cy in enumerate_cycles(d, arc_cap=4):
+        for cy in enumerate_cycles_graph(d.graph, arc_cap=4):
             counts[cy.n_arcs] = counts.get(cy.n_arcs, 0) + 1
         for p in range(1, 5):
             assert counts.get(p, 0) <= (2 * n) ** p / factorial(p)
+
+
+def gmre_oracle(d, delta):
+    """Oracle: the GMRE cycles by a search of the whole map with both caps,
+    then the Gamma filter; a crossing-free diagram has its census cycle."""
+    if d.n_crossings:
+        cycles = enumerate_cycles_graph(d.graph, area_cap=delta, arc_cap=4)
+    else:
+        cycles = [cy for cy in enumerate_cycles(d) if cy.area < delta]
+    return [cy for cy in cycles if cy.n_arcs <= 3 and cy.alternated or cy.n_arcs == 4]
+
+
+class TestCriticalCycles:
+    """MRE and GMRE search the edges of the faces of area < delta; the
+    whole-map search is their oracle, bit for bit."""
+
+    @staticmethod
+    def diagrams(trefoil_diagram):
+        pool = [d for _, d in random_immersed_curves(11, seed=77, n=200)]
+        return pool + [trefoil_diagram, detect_crossings(circle_curve(256))]
+
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 1.0, np.inf])
+    def test_gmre_matches_whole_map_search(self, trefoil_diagram, delta):
+        found = 0
+        for d in self.diagrams(trefoil_diagram):
+            want = gmre_oracle(d, delta)
+            bd = gmre(d, delta)
+            assert [cy.key for cy in bd.cycles] == [cy.key for cy in want]
+            assert [cy.area for cy in bd.cycles] == [cy.area for cy in want]
+            assert bd.total == sum(1 / cy.area - 1 / delta for cy in want)
+            assert bd.delta == delta
+            found += len(want)
+        assert found > 0
+
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 1.0, np.inf])
+    def test_mre_matches_census(self, trefoil_diagram, delta):
+        found = 0
+        for d in self.diagrams(trefoil_diagram):
+            want = [cy for cy in enumerate_cycles(d) if cy.alternated and cy.area < delta]
+            bd = mre(d, delta)
+            assert [cy.key for cy in bd.cycles] == [cy.key for cy in want]
+            assert [cy.area for cy in bd.cycles] == [cy.area for cy in want]
+            assert bd.total == sum(1 / cy.area - 1 / delta for cy in want)
+            found += len(want)
+        assert found > 0
 
 
 class TestFaces:

@@ -389,6 +389,17 @@ class TestRelax:
         assert all(0 < s <= 1.0 for s in tr.steps)
         assert all(gn >= cfg.grad_tol for gn in tr.grad_norms)
 
+    def test_stalled_line_search_is_not_converged(self, monkeypatch):
+        def stall(*args):
+            raise StalledError("stalled")
+
+        monkeypatch.setattr(flow, "_step_from_alpha", stall)
+        cfg = FlowConfig(resistance="none", grad_tol=1e-4, max_iters=50)
+        tr = relax(noisy_circle(128, seed=5), cfg)
+        assert tr.terminated == "stalled"
+        assert len(tr.energies) == 1 and tr.grad_norms == []
+        assert len(tr.findings) == 1 and tr.findings[0].startswith("iter 0: line search stalled at |grad| = ")
+
     def test_whitney_stays_put(self):
         cfg = FlowConfig(resistance="none", step0=1e-4, grad_tol=1e-3, max_iters=120)
         tr = relax(noisy_figure_eight(160, seed=4), cfg)

@@ -146,6 +146,12 @@ class TestPendulumAlpha:
         res = acc + p.omega**2 * np.sin(g.alpha)
         assert np.sqrt(np.mean(res**2)) < 1e-3
 
+    def test_omega_is_derived(self):
+        p = PendulumParams(0.5, 3)
+        assert p.omega == 3 * elliptic_k(0.5) / np.pi
+        with pytest.raises(TypeError):
+            PendulumParams(0.5, 3, omega=p.omega)
+
 
 class TestDeltaX:
     def test_zero_amplitude(self):
