@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 usage/parity, 3 singular diagram, 4 cycle explosion,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -146,6 +147,9 @@ def cmd_cycles(args) -> int:
 def cmd_relax(args) -> int:
     curve = curve_from_json(load_json(args.curve))
     cfg_obj = load_json(args.config)
+    unknown = sorted(set(cfg_obj) - {f.name for f in dataclasses.fields(FlowConfig)})
+    if unknown:
+        raise ValueError(f"unknown flow config keys {unknown}")
     cfg = FlowConfig(
         functional=_functional(cfg_obj.get("functional", "x^2")),
         resistance=cfg_obj.get("resistance", "MRE"),

@@ -343,6 +343,11 @@ class KnotDiagram:
         geometry or labels make a new instance."""
         return tuple(_search(self, DEFAULT_CYCLE_LIMIT))
 
+    @cached_property
+    def _faces(self) -> tuple:
+        """The faces of the map, walked once per instance (diagram_faces)."""
+        return _walk_faces(self.graph)
+
 
 # ---------------------------------------------------------------------------
 # cycle enumeration
@@ -493,7 +498,7 @@ def _critical_cycles(d: KnotDiagram, delta: float, arc_cap: int | None = None) -
         raise ValueError("delta must be positive")
     if d.n_crossings == 0:
         return [cy for cy in d._census if cy.area < delta]
-    faces = diagram_faces(d)
+    faces = d._faces
     outer = min(range(len(faces)), key=lambda i: faces[i][1])
     low = set()
     for i, (edge_ids, area, _) in enumerate(faces):
@@ -554,9 +559,13 @@ def diagram_faces(d: KnotDiagram):
     """Faces of the planar map as (edge id set, signed area, dart walk) records.
 
     Signed area is positive for the bounded faces under the traversal
-    rule used here; the unbounded face carries the negative total.
+    rule used here; the unbounded face carries the negative total.  A
+    fresh list of the faces the diagram walks once and caches.
     """
-    g = d.graph
+    return list(d._faces)
+
+
+def _walk_faces(g: DiagramGraph) -> tuple:
     rot = _rotations(g)
     area_of = _walk_areas(g, range(len(g.edges)))
     darts = set()
@@ -585,5 +594,5 @@ def diagram_faces(d: KnotDiagram):
             dart = (nid, (c, s_out) == n0)
             if dart == start:
                 break
-        faces.append((frozenset(eid for eid, _ in walk), area_of(walk), walk))
-    return faces
+        faces.append((frozenset(eid for eid, _ in walk), area_of(walk), tuple(walk)))
+    return tuple(faces)

@@ -3,9 +3,11 @@ event detection and the bounded-GMRE knot-type monitor.
 
 The descent lives in angle space.  The gradient is the analytic bending
 gradient plus the exact resistance gradient of the frozen cycle set of
-the current diagram (one reverse pass through the shoelace areas, the
-crossing points and the trapezoid integration), projected off the two
-closure directions.  The step runs along its H^1 direction: the gradient
+the current diagram, projected off the two closure directions.  As
+A_c = sum_e o_ce S_e over the edges' open shoelace sums (o_ce = +-1),
+the latter is sum_e W_e grad S_e with W_e = sum_c o_ce (-sign A_c / A_c^2):
+one weighted pass over the curve, the crossing points and the trapezoid
+integration.  The step runs along its H^1 direction: the gradient
 preconditioned by P = I - d^2/ds^2 (one real FFT, symbol 1 + k^2 at
 integer frequency k) and projected again, so the stiff high frequencies
 no longer set the step size.  Convergence is still tested on the L^2
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .diagram import (
     gmre,
     mre,
     resistance_energy,
-    signed_area,
 )
 from .errors import CodimensionOneError, SingularDiagramError, StalledError
 from .uniformization import EnergyFunctional, F_X2, energy_uf, gradient_norm, project_closure, uf_gradient
@@ -59,6 +60,8 @@ class FlowConfig:
             raise ValueError(f"resistance must be one of {RESISTANCE_FAMILIES}")
         if self.step0 <= 0 or self.grad_tol <= 0:
             raise ValueError("step0 and grad_tol must be positive")
+        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer >= 1")
         # the GMRE monitor reads delta under every resistance
         if not self.delta > 0:
             raise ValueError("delta must be positive")
@@ -141,33 +144,21 @@ def _cross(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _cycle_vertex_ids(d: KnotDiagram, cy, n: int) -> np.ndarray:
-    """Vertices of a cycle polyline: k for curve sample k, n + c for crossing c."""
-    if d.n_crossings == 0:
-        return np.arange(n)
-    ids = []
-    for eid, fwd in zip(cy.edge_ids, cy.orientations):
-        e = d.graph.edges[eid]
-        if fwd:
-            ids.append(n + e.end0[0])
-            ids.extend(e.interior_indices)
-        else:
-            ids.append(n + e.end1[0])
-            ids.extend(reversed(e.interior_indices))
-    return np.array(ids)
-
-
 def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
     """Exact gradient, in angle space, of the resistance of the frozen
-    cycle set bd.cycles, by one reverse pass.
+    cycle set bd.cycles, by one weighted pass over the curve.
 
-    The cycles are evaluated on the samples that trapezoid_points gives
-    for g, each crossing at the intersection X = a + t d1 of its two
-    segments [a, b] and [c, e].  The pass takes each 1/A to its vertices
-    by the shoelace, each crossing's share to its four segment endpoints,
+    The curve is one closed walk of the samples that trapezoid_points
+    gives for g and, at each passage, of the crossing X = a + t d1 of its
+    segments [a, b] and [c, e]; each segment lies on one edge of the map
+    (a crossing-free curve is one edge).  A cycle's signed area is
+    A_c = sum_e o_ce S_e, with S_e edge e's open shoelace sum and
+    o_ce = +-1 its direction in c, so grad sum_c 1/|A_c| = sum_e W_e grad S_e
+    with W_e = sum_c o_ce (-sign A_c / A_c^2).  Each weighted segment goes
+    to its two ends, each crossing's share to its four segment endpoints,
     and the samples' cotangents back through the trapezoid sums to the
-    angles.  Returned in the L^2 convention used by uf_gradient (divide
-    the Euclidean partials by the arclength step).
+    angles.  Returned in the L^2 convention of uf_gradient (the Euclidean
+    partials divided by the arclength step).
     """
     n = g.n
     if not bd.cycles:
@@ -180,22 +171,32 @@ def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
     t = _cross(c - a, d2) / denom
     u = _cross(c - a, d1) / denom
     verts = np.vstack([pts, a + t[:, None] * d1])
-    cot = np.zeros_like(verts)
-    for cy in bd.cycles:
-        ids = _cycle_vertex_ids(d, cy, n)
-        poly = verts[ids]
-        s = signed_area(poly)
-        if not abs(s) > 1e-12:
-            raise SingularDiagramError("singular diagram: zero-area frozen cycle")
-        nxt, prv = np.roll(poly, -1, axis=0), np.roll(poly, 1, axis=0)
-        # d(1/A)/dv = -1/A^2 * sign(s)/2 * (y+ - y-, x- - x+)
-        dv = np.column_stack([nxt[:, 1] - prv[:, 1], prv[:, 0] - nxt[:, 0]])
-        np.add.at(cot, ids, (-0.5 * np.sign(s) / s**2) * dv)
+    # the walk, edge by edge in passage order: start crossing, interior samples
+    runs = [(n + end0[0], *inner) for end0, _, _, inner in d.graph.edges] or [range(n)]
+    size = np.array([len(r) for r in runs])
+    walk = np.fromiter(chain.from_iterable(runs), int, size.sum())
+    first, edge = np.cumsum(size) - size, np.repeat(np.arange(len(runs)), size)
+    p = verts[walk]
+    seg = np.roll(p, -1, axis=0) - p
+    # areas regrouped as in diagram._walk_areas: edge lobes plus corner polygon
+    lobe = np.add.reduceat(_cross(p - p[first][edge], seg), first) / 2
+    eid = np.fromiter(chain.from_iterable(cy.edge_ids for cy in bd.cycles), int)
+    o = np.fromiter(chain.from_iterable(cy.orientations for cy in bd.cycles), bool) * 2.0 - 1
+    cyc = np.repeat(np.arange(len(bd.cycles)), [len(cy.edge_ids) for cy in bd.cycles])
+    start = walk[first]
+    corner = verts[np.where(o > 0, np.roll(start, -1)[eid], start[eid])]  # each dart's arrival
+    corner -= corner[np.cumsum(np.bincount(cyc)) - 1][cyc]  # a cycle starts where it ends
+    area = np.bincount(cyc, o * lobe[eid] + _cross(np.roll(corner, 1, axis=0), corner) / 2)
+    if not np.all(np.abs(area) > 1e-12):
+        raise SingularDiagramError("singular diagram: zero-area frozen cycle")
+    w = np.bincount(eid, o * (-np.sign(area) / area**2)[cyc], len(runs))
+    f = (0.5 * w[edge])[:, None] * np.column_stack([seg[:, 1], -seg[:, 0]])
+    f += np.roll(f, 1, axis=0)
+    cot = np.column_stack([np.bincount(walk, f[:, k], len(verts)) for k in (0, 1)])
     gx, gp = cot[n:], cot[:n]
     k1 = np.sum(gx * d2, axis=1) / _cross(d2, d1)
     k2 = np.sum(gx * d1, axis=1) / denom
-    m1 = np.column_stack([d1[:, 1], -d1[:, 0]])
-    m2 = np.column_stack([d2[:, 1], -d2[:, 0]])
+    m1, m2 = np.column_stack([d1[:, 1], -d1[:, 0]]), np.column_stack([d2[:, 1], -d2[:, 0]])
     np.add.at(gp, i, ((1 - t) * k1)[:, None] * m1)
     np.add.at(gp, (i + 1) % n, (t * k1)[:, None] * m1)
     np.add.at(gp, j, ((1 - u) * k2)[:, None] * m2)

@@ -176,6 +176,25 @@ class TestRelaxCmd:
         assert main(["relax", str(curve_path), str(cfg_path), str(tmp_path / "run")]) == 2
         assert "unknown functional 'foo'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"resistence": "RE"}, "unknown flow config keys ['resistence']"),
+            ({"max_iters": "3"}, "max_iters must be an integer >= 1"),
+            ({"max_iters": 0}, "max_iters must be an integer >= 1"),
+            ({"max_iters": -1}, "max_iters must be an integer >= 1"),
+        ],
+        ids=["misspelt-key", "string-iters", "zero-iters", "negative-iters"],
+    )
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, cfg, message):
+        curve_path = tmp_path / "circle.json"
+        dump_json(curve_to_json(noisy_circle(128, seed=5)), curve_path)
+        cfg_path = tmp_path / "cfg.json"
+        dump_json(cfg, cfg_path)
+        assert main(["relax", str(curve_path), str(cfg_path), str(tmp_path / "run")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_stalled_exit(self, tmp_path, capsys, monkeypatch):
         from flatknot import flow
         from flatknot.errors import StalledError

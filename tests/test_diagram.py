@@ -26,8 +26,9 @@ from flatknot.fixtures import (
     random_immersed_curves,
     trefoil_curve,
 )
-from flatknot.flow import _cycle_vertex_ids
 from flatknot.lattice import woven_fragment
+
+from conftest import cycle_vertex_ids
 
 TWO_PI = 2 * np.pi
 
@@ -421,7 +422,7 @@ class TestAreas:
         d = trefoil_diagram
         verts = np.vstack([d.curve.points, [cr.position for cr in d.crossings]])
         for cy in enumerate_cycles(d):
-            assert cy.polyline.tobytes() == verts[_cycle_vertex_ids(d, cy, d.curve.n)].tobytes()
+            assert cy.polyline.tobytes() == verts[cycle_vertex_ids(d, cy, d.curve.n)].tobytes()
 
 
 class TestSharedCensus:
@@ -658,6 +659,17 @@ class TestFaces:
             signed = sorted(a for _, a, _ in faces)
             assert signed[0] < 0 < signed[1]
             assert signed[0] == pytest.approx(-sum(signed[1:]), rel=1e-12)
+
+    def test_walked_once_per_diagram(self, monkeypatch):
+        """diagram_faces, mre and gmre share one walk of the faces."""
+        calls = []
+        rotations = diagram_module._rotations
+        monkeypatch.setattr(diagram_module, "_rotations", lambda g: calls.append(g) or rotations(g))
+        d = detect_crossings(trefoil_curve(256))
+        faces = diagram_faces(d)
+        assert mre(d, 1.0).cycles and gmre(d, 1.0).cycles
+        assert len(calls) == 1
+        assert diagram_faces(d) == faces and diagram_faces(d) is not faces
 
     @given(st.integers(0, 10))
     def test_euler_random(self, idx):

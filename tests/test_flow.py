@@ -34,6 +34,17 @@ from flatknot.uniformization import (
     uf_gradient,
 )
 
+from conftest import per_cycle_resistance_gradient
+
+
+def many_crossing_curve():
+    """z(t) = e^{it} + 1.5 e^{-3it} + 0.8 e^{2it} at 256 samples,
+    scaled to length 2pi: 10 crossings and 164 alternated cycles."""
+    t = np.linspace(0, TWO_PI, 4096, endpoint=False)
+    z = np.exp(1j * t) + 1.5 * np.exp(-3j * t) + 0.8 * np.exp(2j * t)
+    c = resample_arclength(np.column_stack([z.real, z.imag]), 256)
+    return c.scaled(TWO_PI / c.length)
+
 
 def r3_pair():
     """A pure third Reidemeister move.  The curve
@@ -98,6 +109,11 @@ class TestTotalEnergy:
         # the GMRE monitor reads delta whatever the resistance
         with pytest.raises(ValueError, match="delta must be positive"):
             FlowConfig(resistance=resistance, delta=delta)
+
+    @pytest.mark.parametrize("max_iters", [0, -1, "3", 2.5])
+    def test_max_iters_must_be_positive_integer(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            FlowConfig(max_iters=max_iters)
 
     def test_scaling_laws(self, trefoil_diagram):
         cfg = FlowConfig(resistance="RE")
@@ -168,6 +184,30 @@ class TestResistanceGradient:
             want = project_closure(g, row / (g.length / g.n))
             assert gradient_norm(g, want) > 1e-3, cfg.resistance
             assert gradient_norm(g, got - want) <= 1e-6 * gradient_norm(g, want), cfg.resistance
+
+    @pytest.mark.parametrize(
+        "curve, families",
+        [(trefoil_curve(256), ("RE", "MRE", "GMRE")), (ellipse_curve(128), ("RE",))]
+        + [(c, ("RE", "MRE", "GMRE")) for c, _ in random_immersed_curves(3, seed=3, n=96)]
+        + [(many_crossing_curve(), ("RE", "MRE", "GMRE"))],
+        ids=["trefoil", "ellipse", "random0", "random1", "random2", "many"],
+    )
+    def test_matches_per_cycle_oracle(self, curve, families):
+        """The weighted pass over the curve against one reverse pass per
+        frozen cycle, on the same diagram and angles."""
+        g = gauss_from_curve(curve)
+        d = detect_crossings(curve)
+        for fam in families:
+            bd = resistance_breakdown(d, FlowConfig(resistance=fam, delta=0.5))
+            assert bd.cycles, fam
+            want = per_cycle_resistance_gradient(g, d, bd)
+            got = _resistance_gradient(g, d, bd)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), fam
+
+    def test_many_crossing_curve(self):
+        d = detect_crossings(many_crossing_curve())
+        assert d.n_crossings >= 10
+        assert sum(cy.alternated for cy in enumerate_cycles(d)) >= 100
 
     def test_zero_area_frozen_cycle_raises(self, trefoil_diagram):
         d = trefoil_diagram
