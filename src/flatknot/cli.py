@@ -150,14 +150,9 @@ def cmd_relax(args) -> int:
     unknown = sorted(set(cfg_obj) - {f.name for f in dataclasses.fields(FlowConfig)})
     if unknown:
         raise ValueError(f"unknown flow config keys {unknown}")
-    cfg = FlowConfig(
-        functional=_functional(cfg_obj.get("functional", "x^2")),
-        resistance=cfg_obj.get("resistance", "MRE"),
-        delta=cfg_obj.get("delta", 0.1),
-        step0=cfg_obj.get("step0", 1e-4),
-        max_iters=cfg_obj.get("max_iters", 2000),
-        grad_tol=cfg_obj.get("grad_tol", 1e-4),
-    )
+    if "functional" in cfg_obj:
+        cfg_obj["functional"] = _functional(cfg_obj["functional"])
+    cfg = FlowConfig(**cfg_obj)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     every = max(1, args.keyframe_every or max(1, cfg.max_iters // 10))

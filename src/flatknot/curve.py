@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePolylineError
+from .errors import DegeneratePolylineError, StalledError
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,16 +29,10 @@ def _wrap_to_pi(x):
 
 @dataclass(frozen=True)
 class ClosedCurve:
-    """Arclength-sampled closed polyline; index arithmetic is mod N.
-
-    closure_gap is nonzero only for curves reconstructed from an angle
-    function that fails the closure conditions; the implied wrap chord
-    is then not part of the geometry.
-    """
+    """Arclength-sampled closed polyline; index arithmetic is mod N."""
 
     points: np.ndarray
     length: float
-    closure_gap: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
@@ -51,35 +45,19 @@ class ClosedCurve:
         d = np.roll(self.points, -1, axis=0) - self.points
         return np.hypot(d[:, 0], d[:, 1])
 
-    def polygon_length(self) -> float:
-        return float(self.segment_lengths().sum())
-
     def scaled(self, s: float) -> "ClosedCurve":
-        return ClosedCurve(self.points * s, self.length * s, self.closure_gap * s)
+        return ClosedCurve(self.points * s, self.length * s)
 
     def translated(self, v) -> "ClosedCurve":
-        return ClosedCurve(self.points + np.asarray(v, dtype=float), self.length, self.closure_gap)
+        return ClosedCurve(self.points + np.asarray(v, dtype=float), self.length)
 
     def rotated(self, theta: float) -> "ClosedCurve":
         c, s = np.cos(theta), np.sin(theta)
         rot = np.array([[c, -s], [s, c]])
-        return ClosedCurve(self.points @ rot.T, self.length, self.closure_gap)
+        return ClosedCurve(self.points @ rot.T, self.length)
 
     def reversed(self) -> "ClosedCurve":
-        return ClosedCurve(self.points[::-1].copy(), self.length, self.closure_gap)
-
-    def validate(self) -> None:
-        if self.n < 8:
-            raise ValueError(f"need at least 8 samples, got {self.n}")
-        seg = self.segment_lengths()
-        if seg.min() <= 0:
-            raise DegeneratePolylineError("degenerate polyline")
-        if seg.max() / seg.min() > 1.0 + _SPACING_TOL:
-            raise ValueError(
-                f"samples not equi-spaced: ratio {seg.max() / seg.min():.6f}"
-            )
-        if abs(self.polygon_length() - self.length) > 1e-6 * self.length:
-            raise ValueError("stored length inconsistent with polygon length")
+        return ClosedCurve(self.points[::-1].copy(), self.length)
 
 
 @dataclass(frozen=True)
@@ -131,13 +109,11 @@ class ClosureReport:
     whitney: int
 
 
-def polyline_length(points: np.ndarray, closed: bool = True) -> float:
+def polyline_length(points: np.ndarray) -> float:
+    """Length of the closed polyline through the points, wrap chord included."""
     pts = np.asarray(points, dtype=float)
     d = np.diff(pts, axis=0)
-    total = float(np.hypot(d[:, 0], d[:, 1]).sum())
-    if closed:
-        total += float(np.hypot(*(pts[0] - pts[-1])))
-    return total
+    return float(np.hypot(d[:, 0], d[:, 1]).sum()) + float(np.hypot(*(pts[0] - pts[-1])))
 
 
 def _resample_once(points: np.ndarray, n: int) -> np.ndarray:
@@ -195,53 +171,52 @@ def gauss_from_curve(c: ClosedCurve) -> GaussRep:
     return GaussRep(alpha, pts[0].copy(), c.length)
 
 
+def closure_integrals(alpha, length: float) -> np.ndarray:
+    """(h sum cos alpha, h sum sin alpha) with h = length / N: the periodic
+    trapezoid values of the two closure integrals, which vanish exactly
+    when the unit-tangent integral of alpha returns to its start."""
+    h = length / len(alpha)
+    return np.array([h * np.cos(alpha).sum(), h * np.sin(alpha).sum()])
+
+
 def trapezoid_points(alpha, base, length: float) -> np.ndarray:
     """Integrate the unit tangent (cos alpha, sin alpha) from `base`.
 
-    Periodic trapezoid steps p[k+1] = p[k] + h/2 (T[k] + T[k+1]), with
-    T[N] := T[0] and h = length / N, batched over the leading axes of
-    alpha (..., N).  Returns all N + 1 points, shape (..., N + 1, 2); the
-    last one lies on the first exactly when the closure integrals vanish.
+    Periodic trapezoid steps p[k+1] = p[k] + h/2 (T[k] + T[k+1]) with
+    h = length / N, batched over the leading axes of alpha (..., N).
+    Returns the N points, shape (..., N, 2); the step from the last back
+    to the first closes exactly when the closure integrals vanish.
     """
     a = np.asarray(alpha, dtype=float)
     h = length / a.shape[-1]
     zeros = np.zeros(a.shape[:-1] + (1,))
     coords = []
     for t, b in ((np.cos(a), base[0]), (np.sin(a), base[1])):
-        te = np.concatenate([t, t[..., :1]], axis=-1)
-        steps = np.cumsum(0.5 * h * (te[..., :-1] + te[..., 1:]), axis=-1)
+        steps = np.cumsum(0.5 * h * (t[..., :-1] + t[..., 1:]), axis=-1)
         coords.append(b + np.concatenate([zeros, steps], axis=-1))
     return np.stack(coords, axis=-1)
 
 
 def curve_from_gauss(g: GaussRep) -> ClosedCurve:
-    """Integrate (cos alpha, sin alpha) from the base point.
+    """The closed curve of a Gauss lift, of stored length g.length.
 
-    Periodic trapezoid steps; if the closure integrals vanish within
-    1e-8 * 2pi the residual endpoint gap is distributed linearly and the
-    curve snapped closed, otherwise the open polyline is returned with
-    its closure gap recorded.
+    The trapezoid points from the base point miss closing by the closure
+    integrals; that gap is spread linearly over the samples.  A gap above
+    1e-6 is no rounding residue but an open lift, and raises StalledError.
     """
-    ends = trapezoid_points(g.alpha, g.base_point, g.length)
-    gap_vec = ends[-1] - ends[0]
-    pts = ends[:-1]
-    h = g.length / g.n
-    cos_i = h * np.cos(g.alpha).sum()
-    sin_i = h * np.sin(g.alpha).sum()
-    if abs(cos_i) < 1e-8 * TWO_PI and abs(sin_i) < 1e-8 * TWO_PI:
-        pts = pts - np.outer(np.arange(g.n) / g.n, gap_vec)
-        return ClosedCurve(pts, polyline_length(pts))
-    return ClosedCurve(pts, polyline_length(pts, closed=False), closure_gap=float(np.hypot(*gap_vec)))
+    gap = closure_integrals(g.alpha, g.length)
+    if not np.hypot(*gap) <= 1e-6:
+        raise StalledError(f"angle lift does not close: gap {np.hypot(*gap):.3e}")
+    pts = trapezoid_points(g.alpha, g.base_point, g.length)
+    return ClosedCurve(pts - np.outer(np.arange(g.n) / g.n, gap), g.length)
 
 
 def closure_report(g: GaussRep) -> ClosureReport:
     """Closure integrals, angle defect and Whitney index of a Gauss lift."""
-    h = g.length / g.n
-    cos_i = float(h * np.cos(g.alpha).sum())
-    sin_i = float(h * np.sin(g.alpha).sum())
+    cos_i, sin_i = closure_integrals(g.alpha, g.length)
     defect = g.lift_defect()
     w = int(round(defect / TWO_PI))
-    return ClosureReport(cos_i, sin_i, float(_wrap_to_pi(defect)), w)
+    return ClosureReport(float(cos_i), float(sin_i), float(_wrap_to_pi(defect)), w)
 
 
 def _points_to_polyline_dist(points: np.ndarray, poly: np.ndarray) -> np.ndarray:

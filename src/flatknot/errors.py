@@ -47,4 +47,5 @@ class SingularDiagramError(FlatknotError, ValueError):
 
 
 class StalledError(FlatknotError, RuntimeError):
-    """Line search underflowed without an acceptable descent step."""
+    """Line search underflowed without an acceptable descent step, or an
+    angle lift whose closure integrals exceed 1e-6 could not be closed."""

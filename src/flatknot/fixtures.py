@@ -28,12 +28,10 @@ def doubly_traversed_circle(n: int = 512) -> ClosedCurve:
     return ClosedCurve(pts, TWO_PI)
 
 
-def ellipse_curve(n: int = 512, a: float = 2.0, b: float = 1.0, rescale: bool = True) -> ClosedCurve:
+def ellipse_curve(n: int = 512, a: float = 2.0, b: float = 1.0) -> ClosedCurve:
     """Ellipse (a cos t, b sin t), sampled exactly on the curve at uniform
-    arclength via dense inversion of the cumulative length.
-
-    With rescale the curve is scaled to length 2pi; the stored length is
-    the smooth arclength.
+    arclength via dense inversion of the cumulative length, and scaled to
+    length 2pi; the stored length is the smooth arclength.
     """
     m = 1 << 18
     t = np.linspace(0, TWO_PI, m + 1)
@@ -43,23 +41,21 @@ def ellipse_curve(n: int = 512, a: float = 2.0, b: float = 1.0, rescale: bool = 
     t_at = np.interp(np.arange(n) * (total / n), s, t)
     pts = np.column_stack([a * np.cos(t_at), b * np.sin(t_at)])
     c = ClosedCurve(pts, float(total))
-    if rescale:
-        c = c.scaled(TWO_PI / c.length)
-    return c
+    return c.scaled(TWO_PI / c.length)
 
 
-def trefoil_curve(n: int = 512, rescale: bool = True) -> ClosedCurve:
-    """Standard trefoil projection (sin t + 2 sin 2t, cos t - 2 cos 2t)."""
+def trefoil_curve(n: int = 512) -> ClosedCurve:
+    """Standard trefoil projection (sin t + 2 sin 2t, cos t - 2 cos 2t),
+    scaled to length 2pi."""
     t = np.linspace(0, TWO_PI, 4096, endpoint=False)
     pts = np.column_stack([np.sin(t) + 2 * np.sin(2 * t), np.cos(t) - 2 * np.cos(2 * t)])
     c = resample_arclength(pts, n)
-    if rescale:
-        c = c.scaled(TWO_PI / c.length)
-    return c
+    return c.scaled(TWO_PI / c.length)
 
 
-def limacon_curve(n: int = 512, inner: float = 2.0, rescale: bool = True) -> ClosedCurve:
-    """Limacon r = 1 + inner*cos(theta): one small inner loop (one crossing).
+def limacon_curve(n: int = 512, inner: float = 2.0) -> ClosedCurve:
+    """Limacon r = 1 + inner*cos(theta): one small inner loop (one crossing),
+    scaled to length 2pi.
 
     The shrinking inner loop is the standard Omega_1 collapse scenario.
     """
@@ -67,18 +63,16 @@ def limacon_curve(n: int = 512, inner: float = 2.0, rescale: bool = True) -> Clo
     r = 1.0 + inner * np.cos(th)
     pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
     c = resample_arclength(pts, n)
-    if rescale:
-        c = c.scaled(TWO_PI / c.length)
-    return c
+    return c.scaled(TWO_PI / c.length)
 
 
-def fourier_wobble(n: int, seed: int, amplitude: float = 0.05, modes=(3, 8)) -> ClosedCurve:
-    """Circle with random radial Fourier noise in the given mode band."""
+def fourier_wobble(n: int, seed: int, amplitude: float = 0.05) -> ClosedCurve:
+    """Circle with random radial Fourier noise in modes 3..8."""
     rng = np.random.default_rng(seed)
     th = np.linspace(0, TWO_PI, 4096, endpoint=False)
     r = np.ones_like(th)
-    for k in range(modes[0], modes[1] + 1):
-        ak, bk = rng.normal(0, amplitude / (modes[1] - modes[0] + 1), 2)
+    for k in range(3, 9):
+        ak, bk = rng.normal(0, amplitude / 6, 2)
         r += ak * np.cos(k * th) + bk * np.sin(k * th)
     pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
     c = resample_arclength(pts, n)
@@ -122,9 +116,9 @@ def collapse_functional(threshold: float = 2.5):
     )
 
 
-def random_immersed_curves(count: int, seed: int = 2024, n: int = 256, max_crossings: int = 8):
-    """Deterministic pool of smooth immersed curves with 1..max_crossings
-    transversal crossings, from random trigonometric coordinates."""
+def random_immersed_curves(count: int, seed: int = 2024, n: int = 256):
+    """Deterministic pool of smooth immersed curves with 1..8 transversal
+    crossings, from random trigonometric coordinates."""
     from .diagram import detect_crossings
     from .errors import CodimensionOneError
 
@@ -148,7 +142,7 @@ def random_immersed_curves(count: int, seed: int = 2024, n: int = 256, max_cross
             d = detect_crossings(c)
         except (CodimensionOneError, ValueError):
             continue
-        if 1 <= d.n_crossings <= max_crossings:
+        if 1 <= d.n_crossings <= 8:
             out.append((c, d))
     if len(out) < count:
         raise RuntimeError(f"could only generate {len(out)} immersed curves")

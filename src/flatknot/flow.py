@@ -27,7 +27,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .curve import ClosedCurve, GaussRep, TWO_PI, gauss_from_curve, trapezoid_points, whitney_index
+from .curve import (ClosedCurve, GaussRep, TWO_PI, closure_integrals, curve_from_gauss, gauss_from_curve,
+                    trapezoid_points, whitney_index)
 from .diagram import (
     EnergyBreakdown,
     KnotDiagram,
@@ -163,7 +164,7 @@ def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
     n = g.n
     if not bd.cycles:
         return np.zeros(n)
-    pts = trapezoid_points(g.alpha, g.base_point, g.length)[:-1]
+    pts = trapezoid_points(g.alpha, g.base_point, g.length)
     i, j = np.array(d.crossing_segments, dtype=int).reshape(-1, 2).T
     a, b, c, e = pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]
     d1, d2 = b - a, e - c
@@ -230,8 +231,7 @@ def _reclose_alpha(alpha, length):
     n = len(a)
     h = length / n
     for _ in range(8):
-        f1 = h * np.cos(a).sum()
-        f2 = h * np.sin(a).sum()
+        f1, f2 = closure_integrals(a, length)
         if abs(f1) < 1e-12 * TWO_PI and abs(f2) < 1e-12 * TWO_PI:
             break
         j11 = -h * np.sum(np.sin(a) * s0)
@@ -245,23 +245,6 @@ def _reclose_alpha(alpha, length):
         db = (j11 * -f2 - j21 * -f1) / det
         a = a + da * s0 + db * c0
     return a
-
-
-def _integrate_alpha(alpha, base) -> ClosedCurve:
-    """Closed curve of length 2pi from exactly-closed angle samples.
-
-    Unit-tangent integration is already uniform in arclength, so no
-    resampling is needed; the residual endpoint gap (1e-12 scale after
-    the Newton re-closure) is distributed linearly.
-    """
-    n = len(alpha)
-    h = TWO_PI / n
-    pts = trapezoid_points(alpha, base, TWO_PI)[:-1]
-    gap_vec = np.array([h * np.cos(alpha).sum(), h * np.sin(alpha).sum()])
-    if np.hypot(*gap_vec) > 1e-6:
-        raise StalledError("stalled: step broke the closure constraints")
-    pts = pts - np.outer(np.arange(n) / n, gap_vec)
-    return ClosedCurve(pts, TWO_PI)
 
 
 def _inherited_rule(prev: KnotDiagram | None, curve: ClosedCurve, radius: float):
@@ -366,9 +349,9 @@ def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
             if np.array_equal(alpha_s, g.alpha):
                 # already critical to rounding: nothing moves
                 return x, s
-            cand = _integrate_alpha(alpha_s, g.base_point)
-            d_cand = _inherited_rule(x.diagram, cand, radius)
-            y = _measure(GaussRep(alpha_s, g.base_point, TWO_PI), cand, d_cand, cfg)
+            g_s = GaussRep(alpha_s, g.base_point, TWO_PI)
+            cand = curve_from_gauss(g_s)
+            y = _measure(g_s, cand, _inherited_rule(x.diagram, cand, radius), cfg)
         except (CodimensionOneError, SingularDiagramError, StalledError):
             s *= 0.5
             continue
@@ -386,7 +369,7 @@ def _start(c: ClosedCurve, cfg: FlowConfig, diagram: KnotDiagram | None = None) 
     if abs(c.length - TWO_PI) > 1e-8:
         c = c.scaled(TWO_PI / c.length)
     g = GaussRep(_reclose_alpha(gauss_from_curve(c).alpha, TWO_PI), c.points[0], TWO_PI)
-    curve = _integrate_alpha(g.alpha, g.base_point)
+    curve = curve_from_gauss(g)
     d = detect_crossings(curve)
     if diagram is not None:
         d = d.relabelled(cr.first_over for cr in diagram.crossings)

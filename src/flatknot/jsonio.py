@@ -1,6 +1,6 @@
 """JSON wire formats.
 
-Curve JSON:    {"points": [[x, y], ...], "length": L}
+Curve JSON:    {"points": [[x, y], ...], "length": L}, N >= 8 finite points, finite L > 0
 Diagram JSON:  {"curve": CurveJSON, "crossings": [{"pos": [x, y], "over": i, "under": j}]}
 Census JSON:   {"counts_by_arcs": {...}, "alternated": k, "total": m}
 Energy report: {"functional": name, "value": v, "gradient_norm": n, "el": {...}}
@@ -23,7 +23,17 @@ def curve_to_json(c: ClosedCurve) -> dict:
 
 
 def curve_from_json(obj: dict) -> ClosedCurve:
-    return ClosedCurve(np.asarray(obj["points"], dtype=float), float(obj["length"]))
+    """ValueError unless `points` is a finite (N, 2) array with N >= 8 and
+    `length` a finite number > 0."""
+    try:
+        pts, length = np.asarray(obj["points"], dtype=float), obj["length"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"curve JSON needs points and length: {exc!r}") from None
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 8 or not np.isfinite(pts).all():
+        raise ValueError(f"curve points must be a finite (N, 2) array with N >= 8, got shape {pts.shape}")
+    if isinstance(length, bool) or not isinstance(length, (int, float)) or not 0 < length < np.inf:
+        raise ValueError(f"curve length must be a finite number > 0, got {length!r}")
+    return ClosedCurve(pts, float(length))
 
 
 def diagram_to_json(d: KnotDiagram) -> dict:

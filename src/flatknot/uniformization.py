@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import GaussRep, ClosedCurve, TWO_PI
+from .curve import GaussRep, ClosedCurve
 
 _FD_STEP = 1e-5  # fallback step for functional derivatives
 

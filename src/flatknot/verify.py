@@ -17,12 +17,10 @@ import numpy as np
 from . import fixtures
 from .curve import align_rigid, gauss_from_curve, closure_report, whitney_index, TWO_PI
 from .diagram import detect_crossings, enumerate_cycles, enumerate_cycles_graph, gamma_bound, resistance_energy
-from .errors import ParityObstructionError
-from .flow import FlowConfig, relax, total_energy
+from .flow import FlowConfig, relax
 from .lattice import grid_cycle_count, gstar_alternated_count, gstar_lower_bound
 from .pendulum import (
     build_infinity_curve,
-    delta_x,
     elliptic_k,
     find_critical_xi,
     jacobi_sn,
@@ -30,7 +28,6 @@ from .pendulum import (
     PendulumParams,
 )
 from .uniformization import (
-    EnergyFunctional,
     F_X,
     F_X2,
     el_residual,

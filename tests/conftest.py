@@ -74,7 +74,7 @@ def per_cycle_resistance_gradient(g, d, bd):
     n = g.n
     if not bd.cycles:
         return np.zeros(n)
-    pts = trapezoid_points(g.alpha, g.base_point, g.length)[:-1]
+    pts = trapezoid_points(g.alpha, g.base_point, g.length)
     i, j = np.array(d.crossing_segments, dtype=int).reshape(-1, 2).T
     a, b, c, e = pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]
     d1, d2 = b - a, e - c

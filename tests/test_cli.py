@@ -8,7 +8,7 @@ import pytest
 from flatknot import verify
 from flatknot.cli import main
 from flatknot.curve import hausdorff_distance
-from flatknot.fixtures import limacon_curve, noisy_circle, trefoil_curve
+from flatknot.fixtures import circle_curve, limacon_curve, noisy_circle, trefoil_curve
 from flatknot.jsonio import curve_to_json, dump_json
 
 
@@ -49,8 +49,6 @@ class TestEnergyCmd:
         assert len(report["per_cycle"]) == 11
 
     def test_circle_u(self, tmp_path, capsys):
-        from flatknot.fixtures import circle_curve
-
         path = tmp_path / "circle.json"
         dump_json(curve_to_json(circle_curve(512)), path)
         assert main(["energy", str(path), "--f", "x^2"]) == 0
@@ -209,6 +207,40 @@ class TestRelaxCmd:
         dump_json({"resistance": "none", "max_iters": 5}, cfg_path)
         assert main(["relax", str(curve_path), str(cfg_path), str(tmp_path / "run")]) == 0
         assert capsys.readouterr().out.startswith("terminated: stalled after 1 iterations")
+
+
+_CIRCLE16 = curve_to_json(circle_curve(16))["points"]
+_POINTS = "curve points must be a finite (N, 2) array with N >= 8, got shape"
+_LENGTH = "curve length must be a finite number > 0, got"
+
+
+class TestMalformedCurveJson:
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"points": [[0, 0, 0], [1, 0, 0]], "length": 1.0}, f"{_POINTS} (2, 3)"),
+            ({"points": [[0, 0], [1, 0], [0, 1]], "length": 3.5}, f"{_POINTS} (3, 2)"),
+            ({"points": _CIRCLE16[:-1] + [[float("inf"), 0.0]], "length": 6.3}, f"{_POINTS} (16, 2)"),
+            ({"points": _CIRCLE16, "length": "nan"}, f"{_LENGTH} 'nan'"),
+            ({"points": _CIRCLE16, "length": float("nan")}, f"{_LENGTH} nan"),
+            ({"points": _CIRCLE16, "length": 0}, f"{_LENGTH} 0"),
+            ({"length": 6.3}, "curve JSON needs points and length: KeyError('points')"),
+            ({"points": _CIRCLE16}, "curve JSON needs points and length: KeyError('length')"),
+        ],
+        ids=["3d-points", "triangle", "inf-point", "string-nan-length", "nan-length", "zero-length",
+             "no-points", "no-length"],
+    )
+    @pytest.mark.parametrize("command", ["energy", "relax"])
+    def test_usage_error(self, tmp_path, capsys, command, obj, message):
+        curve_path = tmp_path / "curve.json"
+        curve_path.write_text(json.dumps(obj))
+        cfg_path = tmp_path / "cfg.json"
+        dump_json({"resistance": "none", "max_iters": 5}, cfg_path)
+        rest = [] if command == "energy" else [str(cfg_path), str(tmp_path / "run")]
+        assert main([command, str(curve_path), *rest]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
 
 
 class TestRenderCmd:

@@ -4,9 +4,9 @@ from hypothesis import given, strategies as st
 
 from flatknot import curve as curve_mod
 from flatknot.curve import (
-    ClosedCurve,
     GaussRep,
     align_rigid,
+    closure_integrals,
     closure_report,
     curve_from_gauss,
     gauss_from_curve,
@@ -14,7 +14,7 @@ from flatknot.curve import (
     resample_arclength,
     whitney_index,
 )
-from flatknot.errors import DegeneratePolylineError
+from flatknot.errors import DegeneratePolylineError, StalledError
 from flatknot.fixtures import (
     circle_curve,
     doubly_traversed_circle,
@@ -95,19 +95,44 @@ class TestCurveFromGauss:
         n = 512
         alpha = np.pi / 2 + np.arange(n) * (TWO_PI / n)
         c = curve_from_gauss(GaussRep(alpha, np.array([1.0, 0.0])))
-        assert c.closure_gap == 0.0
         center = c.points.mean(axis=0)
         assert np.abs(np.hypot(*(c.points - center).T) - 1).max() < 1e-4
 
     def test_straight_line_gap(self):
-        c = curve_from_gauss(GaussRep(np.zeros(128)))
-        assert c.closure_gap == pytest.approx(TWO_PI, rel=1e-9)
+        with pytest.raises(StalledError, match="does not close"):
+            curve_from_gauss(GaussRep(np.zeros(128)))
+
+    @staticmethod
+    def _circle_lift_with_gap(gap, n=128):
+        # turning the first tangent by gap / h opens the circle by about gap
+        alpha = np.arange(n) * (TWO_PI / n)
+        alpha[0] += gap * n / TWO_PI
+        g = GaussRep(alpha)
+        assert np.hypot(*closure_integrals(g.alpha, g.length)) == pytest.approx(gap, rel=1e-3)
+        return g
+
+    def test_gap_above_tolerance_raises(self):
+        with pytest.raises(StalledError):
+            curve_from_gauss(self._circle_lift_with_gap(2e-6))
+
+    def test_gap_below_tolerance_closes(self):
+        g = self._circle_lift_with_gap(5e-7)
+        c = curve_from_gauss(g)
+        # every step, the wrap step included, is the trapezoid step less gap / N
+        t = np.column_stack([np.cos(g.alpha), np.sin(g.alpha)])
+        want = 0.5 * (g.length / g.n) * (t + np.roll(t, -1, axis=0)) - closure_integrals(g.alpha, g.length) / g.n
+        assert np.abs(np.roll(c.points, -1, axis=0) - c.points - want).max() < 1e-14
+
+    def test_stores_lift_length(self):
+        for c in (circle_curve(256, radius=2.0), ellipse_curve(256)):
+            g = gauss_from_curve(c)
+            assert gauss_from_curve(curve_from_gauss(g)).length == g.length
 
     def test_infinity_alpha_closes(self, critical_xi):
         g = pendulum_alpha(PendulumParams(critical_xi, 2), 1024)
         rep = closure_report(g)
         assert np.hypot(rep.cos_integral, rep.sin_integral) < 1e-6
-        assert curve_from_gauss(g).closure_gap == 0.0
+        curve_from_gauss(g)
 
     def test_round_trip(self):
         for c in (circle_curve(256), ellipse_curve(256)):
@@ -170,12 +195,6 @@ class TestWhitney:
     def test_reversal_negates(self, seed):
         c = fourier_wobble(256, seed=seed)
         assert whitney_index(c.reversed()) == -whitney_index(c)
-
-
-def test_validate_passes_on_resampled():
-    th = np.linspace(0, TWO_PI, 300, endpoint=False)
-    c = resample_arclength(np.column_stack([np.cos(th), 1.3 * np.sin(th)]), 128)
-    c.validate()
 
 
 def align_rigid_grid_search(points: np.ndarray, target: np.ndarray, angles: int = 180):

@@ -25,9 +25,8 @@ from flatknot.flow import (
     resistance_breakdown,
     total_energy,
 )
-from flatknot.pendulum import build_infinity_curve, elliptic_k
+from flatknot.pendulum import elliptic_k
 from flatknot.uniformization import (
-    EnergyFunctional,
     F_X2,
     gradient_norm,
     project_closure,
@@ -164,12 +163,12 @@ class TestResistanceGradient:
         resistance through the public path: integrate the angles, detect
         the crossings with the same over/under bits and evaluate."""
         g = gauss_from_curve(curve)
-        d = detect_crossings(ClosedCurve(trapezoid_points(g.alpha, g.base_point, g.length)[:-1], g.length))
+        d = detect_crossings(ClosedCurve(trapezoid_points(g.alpha, g.base_point, g.length), g.length))
         rule = [cr.first_over for cr in d.crossings]
         cfgs = [FlowConfig(resistance=fam, delta=0.5) for fam in families]
 
         def resistances(alpha):
-            pts = trapezoid_points(alpha, g.base_point, g.length)[:-1]
+            pts = trapezoid_points(alpha, g.base_point, g.length)
             dd = detect_crossings(ClosedCurve(pts, g.length)).relabelled(rule)
             return np.array([resistance_breakdown(dd, cfg).total for cfg in cfgs])
 

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy import integrate, optimize, special
 
-from flatknot.curve import closure_report, gauss_from_curve, hausdorff_distance, whitney_index
+from flatknot.curve import closure_report, hausdorff_distance, whitney_index
 from flatknot.diagram import detect_crossings
 from flatknot.errors import ModulusRangeError, ParityObstructionError
 from flatknot.pendulum import (
-    EllipticValue,
     PendulumParams,
     _sn_cn_dn,
     build_infinity_curve,
@@ -196,7 +195,6 @@ class TestInfinityCurve:
         d = detect_crossings(infinity_curve)
         assert d.n_crossings == 1
         assert whitney_index(infinity_curve) == 0
-        assert infinity_curve.closure_gap < 1e-5
 
     def test_r4_homothety(self, infinity_curve):
         # n doubled so each of the two laps samples at the r=2 density

@@ -9,7 +9,7 @@ from flatknot.fixtures import (
     ellipse_curve,
     fourier_wobble,
 )
-from flatknot.pendulum import PendulumParams, _sn_cn_dn, elliptic_k, find_critical_xi, pendulum_alpha
+from flatknot.pendulum import PendulumParams, _sn_cn_dn, elliptic_k, pendulum_alpha
 from flatknot.uniformization import (
     EnergyFunctional,
     F_X,
