@@ -247,7 +247,7 @@ def _reclose_alpha(alpha, length):
     return a
 
 
-def _inherited_rule(prev: KnotDiagram | None, curve: ClosedCurve, radius: float):
+def _inherited_rule(prev: KnotDiagram, curve: ClosedCurve, radius: float):
     """Detect crossings on `curve`, inheriting over/under from `prev`.
 
     Matched crossings keep their overpass strand; unmatched new crossings
@@ -255,8 +255,6 @@ def _inherited_rule(prev: KnotDiagram | None, curve: ClosedCurve, radius: float)
     R2 pair.
     """
     base = detect_crossings(curve)
-    if prev is None or prev.n_crossings == 0 or base.n_crossings == 0:
-        return base
     rule = [True] * base.n_crossings
     for i, j, flip in _match_crossings(prev, base, radius):
         rule[j] = prev.crossings[i].first_over != flip
@@ -393,11 +391,6 @@ def flow_step(c: ClosedCurve, cfg: FlowConfig, step: float, diagram: KnotDiagram
 # ---------------------------------------------------------------------------
 
 
-def _gauss_sequence(d: KnotDiagram, labels):
-    """Cyclic sequence of crossing labels in passage order."""
-    return [labels[d.passage_crossing[p]] for p in range(2 * d.n_crossings)]
-
-
 def _cyclic_equal(a, b) -> bool:
     if len(a) != len(b):
         return False
@@ -407,10 +400,14 @@ def _cyclic_equal(a, b) -> bool:
     return any(doubled[i : i + len(b)] == b for i in range(len(a)))
 
 
-def classify_event(
-    before: KnotDiagram, after: KnotDiagram, radius: float = 0.1
-) -> FlowEvent | None:
+def classify_event(before: KnotDiagram, after: KnotDiagram, radius: float = 0.1) -> FlowEvent | None:
     """Classify the combinatorial change between consecutive diagrams.
+
+    Both diagrams are read as Gauss words in `before`'s crossing ids: the
+    word of `before` is its passage_crossing, and each passage of `after`
+    carries the id of the `before` crossing its own crossing is matched
+    to, or -1 for an unmatched one.  Every verdict asks whether the two
+    words are cyclically equal once some ids are dropped from both.
 
     None means no change: every crossing matched, the same cyclic passage
     order and no crossing-type flip.  Crossing-count changes of +-2 with
@@ -421,15 +418,15 @@ def classify_event(
     """
     delta = after.n_crossings - before.n_crossings
     pairs = _match_crossings(before, after, radius)
-    matched_b = {i for i, _, _ in pairs}
-    matched_a = {j for _, j, _ in pairs}
-    gone = [i for i in range(before.n_crossings) if i not in matched_b]
-    new = [j for j in range(after.n_crossings) if j not in matched_a]
+    to_after = {i: j for i, j, _ in pairs}
+    to_before = {j: i for i, j, _ in pairs}
+    gone = [i for i in range(before.n_crossings) if i not in to_after]
+    new = [j for j in range(after.n_crossings) if j not in to_before]
+    word_b = before.passage_crossing
+    word_a = [to_before.get(j, -1) for j in after.passage_crossing]
 
-    labels_b = {i: f"b{i}" for i in range(before.n_crossings)}
-    labels_a = {j: "?" for j in range(after.n_crossings)}
-    for i, j, _ in pairs:
-        labels_a[j] = labels_b[i]
+    def same_without(drop):
+        return _cyclic_equal([k for k in word_b if k not in drop], [k for k in word_a if k not in drop])
 
     def location(ids, diagram):
         if not ids:
@@ -438,52 +435,26 @@ def classify_event(
 
     def cluster_ok(ids, diagram, rad):
         pos = [diagram.crossings[k].position for k in ids]
-        return all(
-            np.hypot(*(pos[x] - pos[y])) <= rad
-            for x in range(len(pos))
-            for y in range(x + 1, len(pos))
-        )
-
-    seq_b = _gauss_sequence(before, labels_b)
-    seq_a = _gauss_sequence(after, labels_a)
+        return all(np.hypot(*(p - q)) <= rad for p, q in combinations(pos, 2))
 
     if delta == 2 and len(new) == 2 and not gone:
-        if cluster_ok(new, after, 4 * radius):
-            marks = {labels_a[j] for j in new} | {"?"}
-            trimmed_a = [x for x in seq_a if x not in marks]
-            if _cyclic_equal(trimmed_a, seq_b):
-                return FlowEvent(-1, "R2_appear", location(new, after), 2)
+        if cluster_ok(new, after, 4 * radius) and same_without({-1}):
+            return FlowEvent(-1, "R2_appear", location(new, after), 2)
     if delta == -2 and len(gone) == 2 and not new:
-        if cluster_ok(gone, before, 4 * radius):
-            marks = {labels_b[i] for i in gone}
-            trimmed_b = [x for x in seq_b if x not in marks]
-            if _cyclic_equal(trimmed_b, seq_a):
-                return FlowEvent(-1, "R2_vanish", location(gone, before), -2)
+        if cluster_ok(gone, before, 4 * radius) and same_without(set(gone)):
+            return FlowEvent(-1, "R2_vanish", location(gone, before), -2)
     if delta == 0 and not gone and not new:
         # crossing-type flips are forbidden
         for i, j, flip in pairs:
             if before.crossings[i].first_over != (after.crossings[j].first_over != flip):
-                return FlowEvent(
-                    -1, "FORBIDDEN", after.crossings[j].position.copy(), 0
-                )
-        if _cyclic_equal(seq_a, seq_b):
+                return FlowEvent(-1, "FORBIDDEN", after.crossings[j].position.copy(), 0)
+        if same_without(()):
             return None
-        moved = _changed_crossings(seq_b, seq_a, pairs)
-        if len(moved) == 3 and cluster_ok(moved, after, 6 * radius):
+        trio = next((t for t in combinations(range(before.n_crossings), 3) if same_without(t)), ())
+        moved = [to_after[i] for i in trio]
+        if moved and cluster_ok(moved, after, 6 * radius):
             return FlowEvent(-1, "R3", location(moved, after), 0)
-    kind_ids = new if new else gone
-    diagram = after if new else before
-    return FlowEvent(-1, "FORBIDDEN", location(kind_ids, diagram), delta)
-
-
-def _changed_crossings(seq_b, seq_a, pairs):
-    """The three after-crossing ids whose removal reconciles the two sequences."""
-    label_to_after = {f"b{i}": j for i, j, _ in pairs}
-    for combo in combinations(sorted(set(seq_b)), 3):
-        drop = set(combo)
-        if _cyclic_equal([x for x in seq_b if x not in drop], [x for x in seq_a if x not in drop]):
-            return [label_to_after[lbl] for lbl in combo]
-    return []
+    return FlowEvent(-1, "FORBIDDEN", location(new, after) if new else location(gone, before), delta)
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,16 @@ def diagram_to_json(d: KnotDiagram) -> dict:
 
 def diagram_from_json(obj: dict) -> KnotDiagram:
     """Rebuild a diagram: crossings are re-detected from the curve and the
-    stored over/under choices are replayed onto them; a crossing list that
-    does not fit the curve raises ValueError."""
+    stored over/under choices are replayed onto them.  ValueError without
+    a curve, for a crossing record without comparable `over` and `under`,
+    or for a crossing list that does not fit the curve."""
+    if "curve" not in obj:
+        raise ValueError("diagram JSON needs a curve")
     d = detect_crossings(curve_from_json(obj["curve"]))
-    recs = sorted(obj.get("crossings", []), key=lambda r: min(r["over"], r["under"]))
+    try:
+        recs = sorted(obj.get("crossings", []), key=lambda r: min(r["over"], r["under"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"diagram crossings need over and under passages: {exc!r}") from None
     return d.relabelled(r["over"] < r["under"] for r in recs) if recs else d
 
 

@@ -1,4 +1,4 @@
-"""SVG rendering of curves, diagrams and highlighted cycles.
+"""SVG rendering of curves and diagrams.
 
 Over/under is drawn the usual way: a short gap is cut into the
 under-strand around each crossing and the over-strand is repainted on
@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import ClosedCurve
-from .diagram import DiagramCycle, KnotDiagram
-
-_CYCLE_COLORS = ("#c02020", "#2060c0", "#209040", "#c07820", "#8040a0", "#108080")
+from .diagram import KnotDiagram
 
 
 @dataclass(frozen=True)
@@ -23,7 +21,6 @@ class RenderSpec:
     height: int = 640
     stroke: float = 2.0
     show_crossings: bool = True
-    show_cycles: tuple = None  # cycle ids to highlight, or None
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -98,29 +95,15 @@ def curve_svg(c: ClosedCurve, spec: RenderSpec = RenderSpec()) -> str:
     return canvas.render()
 
 
-def diagram_svg(
-    d: KnotDiagram,
-    spec: RenderSpec = RenderSpec(),
-    cycles: list[DiagramCycle] | None = None,
-) -> str:
+def diagram_svg(d: KnotDiagram, spec: RenderSpec = RenderSpec()) -> str:
     canvas = _Canvas(spec, d.curve.points)
     canvas.polyline(d.curve.points, closed=True)
-    if cycles and spec.show_cycles is not None:
-        wanted = set(spec.show_cycles)
-        for i, cy in enumerate(cycles):
-            if i in wanted:
-                canvas.polyline(
-                    cy.polyline,
-                    color=_CYCLE_COLORS[i % len(_CYCLE_COLORS)],
-                    width=spec.stroke * 1.6,
-                    closed=True,
-                )
     if spec.show_crossings and d.n_crossings:
         gap = 2.5 * spec.stroke / canvas.scale
         pts = d.curve.points
         n = pts.shape[0]
         h = 2 * np.pi / n
-        for cr, (seg_i, seg_j) in zip(d.crossings, d.crossing_segments):
+        for cr in d.crossings:
             under_param = d.passage_params[cr.under_passage]
             over_param = d.passage_params[cr.over_passage]
             under_idx = int(round(under_param / h)) % n

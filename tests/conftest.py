@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import hypothesis
 import numpy as np
 import pytest
@@ -108,3 +110,94 @@ def per_cycle_resistance_gradient(g, d, bd):
     dt = tail - gp
     dt[1:] += tail[1:]
     return 0.5 * (dt[:, 1] * np.cos(g.alpha) - dt[:, 0] * np.sin(g.alpha))
+
+
+# ---------------------------------------------------------------------------
+# string-label event classifier: the oracle of flow.classify_event
+# ---------------------------------------------------------------------------
+
+
+def _gauss_sequence(d, labels):
+    """Cyclic sequence of crossing labels in passage order."""
+    return [labels[d.passage_crossing[p]] for p in range(2 * d.n_crossings)]
+
+
+def classify_event_by_labels(before, after, radius: float = 0.1):
+    """Classify the combinatorial change between consecutive diagrams.
+
+    None means no change: every crossing matched, the same cyclic passage
+    order and no crossing-type flip.  Crossing-count changes of +-2 with
+    a mutually close unmatched pair are R2 moves; an unchanged census
+    whose passage order changed across a cluster of three crossings is an
+    R3; everything else (including +-1 loop events and crossing-type
+    flips) is FORBIDDEN.
+    """
+    from flatknot.flow import FlowEvent, _cyclic_equal, _match_crossings
+
+    delta = after.n_crossings - before.n_crossings
+    pairs = _match_crossings(before, after, radius)
+    matched_b = {i for i, _, _ in pairs}
+    matched_a = {j for _, j, _ in pairs}
+    gone = [i for i in range(before.n_crossings) if i not in matched_b]
+    new = [j for j in range(after.n_crossings) if j not in matched_a]
+
+    labels_b = {i: f"b{i}" for i in range(before.n_crossings)}
+    labels_a = {j: "?" for j in range(after.n_crossings)}
+    for i, j, _ in pairs:
+        labels_a[j] = labels_b[i]
+
+    def location(ids, diagram):
+        if not ids:
+            return np.zeros(2)
+        return np.mean([diagram.crossings[k].position for k in ids], axis=0)
+
+    def cluster_ok(ids, diagram, rad):
+        pos = [diagram.crossings[k].position for k in ids]
+        return all(
+            np.hypot(*(pos[x] - pos[y])) <= rad
+            for x in range(len(pos))
+            for y in range(x + 1, len(pos))
+        )
+
+    seq_b = _gauss_sequence(before, labels_b)
+    seq_a = _gauss_sequence(after, labels_a)
+
+    if delta == 2 and len(new) == 2 and not gone:
+        if cluster_ok(new, after, 4 * radius):
+            marks = {labels_a[j] for j in new} | {"?"}
+            trimmed_a = [x for x in seq_a if x not in marks]
+            if _cyclic_equal(trimmed_a, seq_b):
+                return FlowEvent(-1, "R2_appear", location(new, after), 2)
+    if delta == -2 and len(gone) == 2 and not new:
+        if cluster_ok(gone, before, 4 * radius):
+            marks = {labels_b[i] for i in gone}
+            trimmed_b = [x for x in seq_b if x not in marks]
+            if _cyclic_equal(trimmed_b, seq_a):
+                return FlowEvent(-1, "R2_vanish", location(gone, before), -2)
+    if delta == 0 and not gone and not new:
+        # crossing-type flips are forbidden
+        for i, j, flip in pairs:
+            if before.crossings[i].first_over != (after.crossings[j].first_over != flip):
+                return FlowEvent(
+                    -1, "FORBIDDEN", after.crossings[j].position.copy(), 0
+                )
+        if _cyclic_equal(seq_a, seq_b):
+            return None
+        moved = _changed_crossings(seq_b, seq_a, pairs)
+        if len(moved) == 3 and cluster_ok(moved, after, 6 * radius):
+            return FlowEvent(-1, "R3", location(moved, after), 0)
+    kind_ids = new if new else gone
+    diagram = after if new else before
+    return FlowEvent(-1, "FORBIDDEN", location(kind_ids, diagram), delta)
+
+
+def _changed_crossings(seq_b, seq_a, pairs):
+    """The three after-crossing ids whose removal reconciles the two sequences."""
+    from flatknot.flow import _cyclic_equal
+
+    label_to_after = {f"b{i}": j for i, j, _ in pairs}
+    for combo in combinations(sorted(set(seq_b)), 3):
+        drop = set(combo)
+        if _cyclic_equal([x for x in seq_b if x not in drop], [x for x in seq_a if x not in drop]):
+            return [label_to_after[lbl] for lbl in combo]
+    return []

@@ -9,13 +9,32 @@ from flatknot import verify
 from flatknot.cli import main
 from flatknot.curve import hausdorff_distance
 from flatknot.fixtures import circle_curve, limacon_curve, noisy_circle, trefoil_curve
-from flatknot.jsonio import curve_to_json, dump_json
+from flatknot.jsonio import curve_to_json, diagram_to_json, dump_json
 
 
 @pytest.fixture()
 def trefoil_json(tmp_path):
     path = tmp_path / "trefoil.json"
     dump_json(curve_to_json(trefoil_curve(512)), path)
+    return path
+
+
+@pytest.fixture()
+def triple_point_json(tmp_path):
+    """Three straight strands through the origin, joined far away: the
+    triple-point curve that crossing detection rejects."""
+    angles = [0, np.pi / 3, 2 * np.pi / 3]
+    pieces = []
+    R = 4.0
+    for i, th in enumerate(angles):
+        u = np.array([np.cos(th), np.sin(th)])
+        pieces.append(np.linspace(-R * u, R * u, 41))
+        joint_from = R * u
+        joint_to = -R * np.array([np.cos(angles[(i + 1) % 3]), np.sin(angles[(i + 1) % 3])])
+        mid = 2.2 * R * (joint_from + joint_to) / np.linalg.norm(joint_from + joint_to)
+        pieces.append(np.array([joint_from * 0.98 + 0.2 * mid, mid, joint_to * 0.98 + 0.2 * mid]))
+    path = tmp_path / "triple.json"
+    dump_json({"points": np.vstack(pieces).tolist(), "length": 1.0}, path)
     return path
 
 
@@ -72,6 +91,24 @@ class TestEnergyCmd:
         assert main(["energy", str(trefoil_json), "--f", "foo"]) == 2
         assert "unknown functional 'foo'" in capsys.readouterr().err
 
+    def test_triple_point_is_singular(self, triple_point_json, capsys):
+        assert main(["energy", str(triple_point_json)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_zero_area_curve_is_singular(self, tmp_path, capsys):
+        path = tmp_path / "dot.json"
+        dump_json({"points": [[k * 1e-16, 0.0] for k in range(8)], "length": 1.0}, path)
+        assert main(["energy", str(path), "--family", "RE"]) == 3
+        assert "zero-area" in capsys.readouterr().err
+
+    def test_cycle_limit_is_explosion(self, trefoil_json, capsys, monkeypatch):
+        from flatknot import diagram
+
+        monkeypatch.setattr(diagram, "DEFAULT_CYCLE_LIMIT", 5)
+        assert main(["energy", str(trefoil_json), "--family", "RE"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(partial count " in err
+
 
 class TestCyclesCmd:
     def test_trefoil_census(self, trefoil_json, capsys):
@@ -91,6 +128,10 @@ class TestCyclesCmd:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "cycle explosion"
         assert err["partial"] > 0
+
+    def test_triple_point_is_singular(self, triple_point_json, capsys):
+        assert main(["cycles", "--diagram", str(triple_point_json)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("fit", ["extra", "missing"])
     def test_crossing_list_must_fit_curve(self, tmp_path, capsys, fit):
@@ -243,12 +284,52 @@ class TestMalformedCurveJson:
         assert captured.out == ""
 
 
+class TestMalformedDiagramJson:
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"crossings": []}, "diagram JSON needs a curve"),
+            ({"curve": curve_to_json(trefoil_curve(256)), "crossings": [{"pos": [0, 0], "over": 0}]},
+             "diagram crossings need over and under passages: KeyError('under')"),
+            ({"curve": curve_to_json(trefoil_curve(256)), "crossings": [{"over": "a", "under": 1}]},
+             "diagram crossings need over and under passages: TypeError("),
+        ],
+        ids=["no-curve", "no-under", "string-over"],
+    )
+    @pytest.mark.parametrize("command", ["energy", "cycles", "render"])
+    def test_usage_error(self, tmp_path, capsys, command, obj, message):
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(obj))
+        argv = {"energy": ["energy", str(path)], "cycles": ["cycles", "--diagram", str(path)],
+                "render": ["render", str(path), str(tmp_path / "out.svg")]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
+
 class TestRenderCmd:
     def test_svg_valid_xml(self, trefoil_json, tmp_path):
         out = tmp_path / "trefoil.svg"
         assert main(["render", str(trefoil_json), str(out)]) == 0
         root = ET.fromstring(out.read_text())
         assert root.tag.endswith("svg")
+
+    def test_diagram_json(self, tmp_path):
+        from flatknot.diagram import detect_crossings
+
+        d = detect_crossings(trefoil_curve(256))
+        path, out = tmp_path / "trefoil_diagram.json", tmp_path / "trefoil.svg"
+        dump_json(diagram_to_json(d), path)
+        assert main(["render", str(path), str(out)]) == 0
+        polys = [el for el in ET.fromstring(out.read_text()).iter() if el.tag.endswith("polyline")]
+        assert len(polys) == 1 + 2 * d.n_crossings
+
+    def test_triple_point_draws_the_curve_alone(self, triple_point_json, tmp_path):
+        out = tmp_path / "triple.svg"
+        assert main(["render", str(triple_point_json), str(out)]) == 0
+        polys = [el for el in ET.fromstring(out.read_text()).iter() if el.tag.endswith("polyline")]
+        assert len(polys) == 1
 
 
 class TestVerifyCmd:

@@ -4,10 +4,11 @@ import pytest
 from flatknot.curve import TWO_PI, ClosedCurve, GaussRep, gauss_from_curve, resample_arclength, trapezoid_points
 from flatknot import flow
 from flatknot.diagram import detect_crossings, enumerate_cycles, gmre, resistance_energy, shoelace_area
-from flatknot.errors import SingularDiagramError, StalledError
+from flatknot.errors import CodimensionOneError, SingularDiagramError, StalledError
 from flatknot.fixtures import (
     bigon_pair,
     circle_curve,
+    collapse_functional,
     ellipse_curve,
     limacon_curve,
     noisy_circle,
@@ -33,7 +34,7 @@ from flatknot.uniformization import (
     uf_gradient,
 )
 
-from conftest import per_cycle_resistance_gradient
+from conftest import classify_event_by_labels, per_cycle_resistance_gradient
 
 
 def many_crossing_curve():
@@ -239,6 +240,15 @@ class TestInheritedRule:
         assert len(calls) == 1
         assert [c.first_over for c in d.crossings] == [True] * 3
 
+    def test_new_pair_from_crossing_free_diagram_is_a_bigon(self):
+        """Crossings born from a crossing-free diagram put the earlier
+        passage on top, as any unmatched pair does: an R2 bigon with two
+        alternated cycles, not an alternating clasp with three."""
+        with_bigon, without = bigon_pair()
+        d = _inherited_rule(detect_crossings(without), with_bigon, 1.0)
+        assert [c.first_over for c in d.crossings] == [True, True]
+        assert sum(cy.alternated for cy in enumerate_cycles(d)) == 2
+
 
 class TestFlowStep:
     def test_descends_on_perturbed_circle(self):
@@ -402,6 +412,49 @@ class TestClassify:
         )
         ev = classify_event(trefoil_diagram, flipped, radius=0.3)
         assert ev.kind == "FORBIDDEN"
+
+    def test_matches_string_label_oracle(self, trefoil_diagram, monkeypatch):
+        """The integer Gauss words give the verdicts of the string-label
+        classifier bit for bit, on the fixture pairs, on every call of the
+        adversarial flow, and on consecutive and jittered pairs of random
+        immersed curves."""
+        with_bigon, without = (detect_crossings(c) for c in bigon_pair())
+        flipped = trefoil_diagram.relabelled([not c.first_over for c in trefoil_diagram.crossings])
+        cases = [
+            (with_bigon, without, 1.0),
+            (without, with_bigon, 1.0),
+            (*r3_pair(), 0.3),
+            (layered_triangle(1.95), layered_triangle(2.05), 0.3),
+            (layered_triangle(2.05), layered_triangle(1.95), 0.3),
+            (detect_crossings(limacon_curve(n=256)), detect_crossings(circle_curve(256)), 1.0),
+            (trefoil_diagram, flipped, 0.3),
+        ]
+        # every call of the adversarial flow, which ends FORBIDDEN
+        monkeypatch.setattr(flow, "classify_event", lambda *args: cases.append(args) or classify_event(*args))
+        cfg = FlowConfig(functional=collapse_functional(), resistance="none", delta=0.05, grad_tol=1e-6)
+        relax(limacon_curve(inner=2.0, n=256), cfg)
+        pool = random_immersed_curves(40, seed=77, n=200)
+        cases += [(a, b, 0.5) for (_, a), (_, b) in zip(pool, pool[1:])]
+        rng = np.random.default_rng(5)
+        for c, d in pool:
+            for amp in (1e-3, 1e-2):
+                jitter = rng.normal(0, amp, c.points.shape)
+                try:
+                    jittered = detect_crossings(ClosedCurve(c.points + jitter, c.length))
+                except CodimensionOneError:
+                    continue
+                cases += [(d, jittered, r) for r in (0.05, 0.3)]
+                cases += [(jittered.relabelled([True] * jittered.n_crossings),
+                           d.relabelled([True] * d.n_crossings), r) for r in (0.05, 0.3)]
+        kinds = set()
+        for before, after, radius in cases:
+            got, want = (f(before, after, radius) for f in (classify_event, classify_event_by_labels))
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (got.kind, got.crossing_delta) == (want.kind, want.crossing_delta)
+                assert np.array_equal(got.location, want.location)
+            kinds.add(got and got.kind)
+        assert kinds == {None, "R2_appear", "R2_vanish", "R3", "FORBIDDEN"}
 
 
 class TestRelax:

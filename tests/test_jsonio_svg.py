@@ -64,14 +64,12 @@ class TestSvg:
         root = ET.fromstring(curve_svg(circle_curve(64)))
         assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
-    def test_diagram_svg_gaps_and_cycles(self, trefoil_diagram):
-        cycles = enumerate_cycles(trefoil_diagram)
-        spec = RenderSpec(show_crossings=True, show_cycles=(0, 10))
-        text = diagram_svg(trefoil_diagram, spec, cycles)
+    def test_diagram_svg_gaps(self, trefoil_diagram):
+        text = diagram_svg(trefoil_diagram, RenderSpec(show_crossings=True))
         root = ET.fromstring(text)
         polys = [el for el in root.iter() if el.tag.endswith("polyline")]
-        # base curve + 2 highlighted cycles + 2 strand patches per crossing
-        assert len(polys) == 1 + 2 + 2 * trefoil_diagram.n_crossings
+        # base curve + 2 strand patches per crossing
+        assert len(polys) == 1 + 2 * trefoil_diagram.n_crossings
 
     def test_dimensions_positive(self):
         with pytest.raises(ValueError):
