@@ -48,10 +48,10 @@ from .flow import (
     FlowConfig,
     FlowEvent,
     FlowTrace,
+    IterateRecord,
     classify_event,
     flow_step,
     relax,
-    total_energy,
 )
 from .lattice import (
     grid_cycle_count,

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .curve import gauss_from_curve, closure_report
-from .diagram import detect_crossings, enumerate_cycles, enumerate_cycles_graph, gmre, mre, resistance_energy
+from .diagram import enumerate_cycles, enumerate_cycles_graph, gmre, mre, resistance_energy
 from .errors import (
     CodimensionOneError,
     CycleExplosionError,
@@ -85,12 +85,8 @@ def cmd_pendulum(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    obj = load_json(args.input)
     try:
-        if "crossings" in obj:
-            diagram = diagram_from_json(obj)
-        else:
-            diagram = detect_crossings(curve_from_json(obj))
+        diagram = diagram_from_json(load_json(args.input))
     except CodimensionOneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
@@ -128,9 +124,7 @@ def cmd_cycles(args) -> int:
             cycles = enumerate_cycles_graph(woven_fragment(args.gstar + 1), max_cycles=args.limit)
             print(json.dumps(census_to_json(cycles)))
             return EXIT_OK
-        obj = load_json(args.diagram)
-        diagram = diagram_from_json(obj) if "crossings" in obj else detect_crossings(curve_from_json(obj))
-        cycles = enumerate_cycles(diagram, max_cycles=args.limit)
+        cycles = enumerate_cycles(diagram_from_json(load_json(args.diagram)), max_cycles=args.limit)
         print(json.dumps(census_to_json(cycles)))
         return EXIT_OK
     except CycleExplosionError as exc:
@@ -180,16 +174,10 @@ def cmd_render(args) -> int:
     obj = load_json(args.input)
     spec = RenderSpec(width=args.width, height=args.height, stroke=args.stroke,
                       show_crossings=not args.no_crossings)
-    if "crossings" in obj:
-        diagram = diagram_from_json(obj)
-        svg = diagram_svg(diagram, spec)
-    else:
-        curve = curve_from_json(obj)
-        try:
-            diagram = detect_crossings(curve)
-            svg = diagram_svg(diagram, spec)
-        except CodimensionOneError:
-            svg = curve_svg(curve, spec)
+    try:
+        svg = diagram_svg(diagram_from_json(obj), spec)
+    except CodimensionOneError:
+        svg = curve_svg(curve_from_json(obj.get("curve", obj)), spec)
     Path(args.out).write_text(svg)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -48,4 +48,11 @@ class SingularDiagramError(FlatknotError, ValueError):
 
 class StalledError(FlatknotError, RuntimeError):
     """Line search underflowed without an acceptable descent step, or an
-    angle lift whose closure integrals exceed 1e-6 could not be closed."""
+    angle lift whose closure integrals exceed 1e-6 could not be closed.
+
+    A stalled line search lists in `rejected` why each candidate failed.
+    """
+
+    def __init__(self, message: str, rejected: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.rejected = rejected

@@ -43,6 +43,7 @@ from .uniformization import EnergyFunctional, F_X2, energy_uf, gradient_norm, pr
 _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-12
 _STEP_GROWTH = 1.5
+_REJECTED_BY = {CodimensionOneError: "codim1", SingularDiagramError: "singular", StalledError: "stalled"}
 
 RESISTANCE_FAMILIES = ("RE", "MRE", "GMRE", "none")
 
@@ -76,24 +77,48 @@ class FlowEvent:
     crossing_delta: int
 
 
+@dataclass(frozen=True)
+class IterateRecord:
+    """One iterate of a flow: its energy split, crossing count, GMRE
+    monitor value and Whitney index (None where undefined).  grad_norm is
+    the projected L^2 gradient norm, where one was taken; a line search
+    leaves the accepted `step` (None if it stalled) and, per rejected
+    candidate, why it failed: codim1 | singular | stalled | armijo."""
+
+    iter: int
+    u: float
+    r: float
+    crossings: int
+    gmre: float
+    whitney: int | None
+    grad_norm: float | None = None
+    step: float | None = None
+    rejected: tuple[str, ...] = ()
+
+    @property
+    def total(self) -> float:
+        return self.u + self.r
+
+
 @dataclass
 class FlowTrace:
-    energies: list = field(default_factory=list)  # (iter, U, R, total)
-    events: list = field(default_factory=list)
+    records: list[IterateRecord] = field(default_factory=list)
+    events: list[FlowEvent] = field(default_factory=list)
     final_curve: ClosedCurve = None
     terminated: str = "max_iters"
-    gmre_values: list = field(default_factory=list)
-    crossing_counts: list = field(default_factory=list)
-    findings: list = field(default_factory=list)
-    # one entry per step taken: the projected L^2 gradient norm it
-    # started from, the accepted step and the rejected candidates before it
-    grad_norms: list = field(default_factory=list)
-    steps: list = field(default_factory=list)
-    backtracks: list = field(default_factory=list)
+
+    @property
+    def energies(self) -> list[tuple]:
+        """(iter, U, R, total) per iterate."""
+        return [(r.iter, r.u, r.r, r.total) for r in self.records]
+
+    @property
+    def crossing_counts(self) -> list[int]:
+        return [r.crossings for r in self.records]
 
     @property
     def max_gmre(self) -> float:
-        return max(self.gmre_values) if self.gmre_values else 0.0
+        return max((r.gmre for r in self.records), default=0.0)
 
 
 def resistance_breakdown(d: KnotDiagram, cfg: FlowConfig) -> EnergyBreakdown:
@@ -106,15 +131,6 @@ def resistance_breakdown(d: KnotDiagram, cfg: FlowConfig) -> EnergyBreakdown:
     if cfg.resistance == "GMRE":
         return gmre(d, cfg.delta)
     return EnergyBreakdown(0.0, (), "none")
-
-
-def total_energy(c: ClosedCurve, cfg: FlowConfig, diagram: KnotDiagram | None = None):
-    """(U, R) on the curve; the diagram is re-detected unless supplied."""
-    g = gauss_from_curve(c)
-    u = energy_uf(g, cfg.functional)
-    if diagram is None:
-        diagram = detect_crossings(c)
-    return u, resistance_breakdown(diagram, cfg).total
 
 
 @dataclass(frozen=True)
@@ -334,29 +350,31 @@ def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
     Armijo test measure the bending part directly on the angle samples,
     so the comparison is exact; the resistance part is re-detected
     honestly on each candidate curve.
-    Returns (accepted iterate, accepted step).
+    Returns (accepted iterate, accepted step, why each rejected candidate
+    failed); each rejection halves the step.  A step below 1e-12 raises
+    StalledError carrying the reasons of every candidate tried.
     """
     g = x.gauss
     d = _h1_direction(g, grad)
     slope = (TWO_PI / g.n) * float(np.dot(grad, d))
     radius = max(5.0 * step * gradient_norm(g, d), 1e-3)
-    s = step
+    s, rejected = step, []
     while s >= _STEP_FLOOR:
         try:
             alpha_s = _reclose_alpha(g.alpha - s * d, TWO_PI)
             if np.array_equal(alpha_s, g.alpha):
                 # already critical to rounding: nothing moves
-                return x, s
+                return x, s, tuple(rejected)
             g_s = GaussRep(alpha_s, g.base_point, TWO_PI)
             cand = curve_from_gauss(g_s)
             y = _measure(g_s, cand, _inherited_rule(x.diagram, cand, radius), cfg)
-        except (CodimensionOneError, SingularDiagramError, StalledError):
-            s *= 0.5
-            continue
-        if y.total <= x.total - _ARMIJO * s * slope:
-            return y, s
+            if y.total <= x.total - _ARMIJO * s * slope:
+                return y, s, tuple(rejected)
+            rejected.append("armijo")
+        except (CodimensionOneError, SingularDiagramError, StalledError) as exc:
+            rejected.append(_REJECTED_BY[type(exc)])
         s *= 0.5
-    raise StalledError("stalled")
+    raise StalledError("stalled", tuple(rejected))
 
 
 def _start(c: ClosedCurve, cfg: FlowConfig, diagram: KnotDiagram | None = None) -> _Iterate:
@@ -382,7 +400,7 @@ def flow_step(c: ClosedCurve, cfg: FlowConfig, step: float, diagram: KnotDiagram
     1e-12 raises StalledError("stalled").
     """
     x = _start(c, cfg, diagram)
-    y, s = _step_from_alpha(x, _projected_gradient(x, cfg), cfg, step)
+    y, s, _ = _step_from_alpha(x, _projected_gradient(x, cfg), cfg, step)
     return y.curve, s
 
 
@@ -467,12 +485,12 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
 
     The state is the exactly-closed angle sample vector; iterates are its
     unit-speed integrals, so every recorded curve has length 2pi.  The
-    trace records (U, R, total) and the GMRE monitor value per iterate;
-    any event other than R2/R3 aborts with terminated = "forbidden_event".
-    The flow ends "converged" when the projected gradient norm falls
-    below grad_tol, and "stalled" when the line search finds no step (a
-    finding records the gradient norm it stopped at); a frozen cycle of
-    zero area ends it with terminated = "singular".
+    trace holds one IterateRecord per iterate; any event other than R2/R3
+    aborts with terminated = "forbidden_event", after a last record of the
+    offending state.  The flow ends "converged" when the projected
+    gradient norm falls below grad_tol, and "stalled" when the line search
+    finds no step (its record lists every rejected candidate); a frozen
+    cycle of zero area ends it with terminated = "singular".
     """
     trace = FlowTrace()
     try:
@@ -482,74 +500,56 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
         trace.terminated = "singular"
         return trace
     step = cfg.step0
-    last_whitney = _safe_whitney(x.curve)
 
     for it in range(cfg.max_iters):
-        trace.energies.append((it, x.u, x.resistance.total, x.total))
-        trace.crossing_counts.append(x.diagram.n_crossings)
-        trace.gmre_values.append(_monitor(x, cfg) if x.diagram.n_crossings else 0.0)
         if keyframe_cb is not None:
             keyframe_cb(it, x.curve)
-
+        y, gnorm, accepted, rejected = None, None, None, ()
         try:
             grad = _projected_gradient(x, cfg)
+            gnorm = gradient_norm(x.gauss, grad)
+            if gnorm < cfg.grad_tol:
+                trace.terminated = "converged"
+            else:
+                y, accepted, rejected = _step_from_alpha(x, grad, cfg, step)
         except SingularDiagramError:
             trace.terminated = "singular"
+        except StalledError as exc:
+            trace.terminated, rejected = "stalled", exc.rejected
+        trace.records.append(_record(it, x, cfg, gnorm, accepted, rejected))
+        if y is None:
             break
-        gnorm = gradient_norm(x.gauss, grad)
-        if gnorm < cfg.grad_tol:
-            trace.terminated = "converged"
-            break
-        try:
-            y, accepted = _step_from_alpha(x, grad, cfg, step)
-        except StalledError:
-            trace.terminated = "stalled"
-            trace.findings.append(f"iter {it}: line search stalled at |grad| = {gnorm:.3e}")
-            break
-        trace.grad_norms.append(gnorm)
-        trace.steps.append(accepted)
-        # every rejected candidate halves the step, exactly in binary
-        trace.backtracks.append(round(np.log2(step / accepted)))
 
         disp = float(np.max(np.hypot(*(y.curve.points - x.curve.points).T)))
         event = classify_event(x.diagram, y.diagram, max(5.0 * disp, 1e-3))
+        x, step = y, min(accepted * _STEP_GROWTH, 1.0)
         if event is not None:
-            event = dataclasses.replace(event, iter=it)
-            trace.events.append(event)
+            trace.events.append(dataclasses.replace(event, iter=it))
             if event.kind == "FORBIDDEN":
-                # record the offending state so the GMRE monitor sees it
-                trace.energies.append((it + 1, y.u, y.resistance.total, y.total))
-                trace.crossing_counts.append(y.diagram.n_crossings)
-                try:
-                    trace.gmre_values.append(_monitor(y, cfg))
-                except SingularDiagramError:
-                    trace.gmre_values.append(np.inf)
+                trace.records.append(_record(it + 1, x, cfg))
                 trace.terminated = "forbidden_event"
-                trace.final_curve = y.curve
-                return trace
-
-        w = _safe_whitney(y.curve)
-        if w is not None and last_whitney is not None and w != last_whitney:
-            trace.findings.append(f"iter {it}: Whitney index changed {last_whitney} -> {w}")
-        last_whitney = w if w is not None else last_whitney
-
-        x = y
-        step = min(accepted * _STEP_GROWTH, 1.0)
-    else:
-        trace.terminated = "max_iters"
+                break
 
     trace.final_curve = x.curve
     return trace
 
 
-def _monitor(x: _Iterate, cfg: FlowConfig) -> float:
-    """The GMRE monitor value of an iterate; under resistance="GMRE" it is
-    the breakdown the iterate already carries."""
-    return x.resistance.total if cfg.resistance == "GMRE" else gmre(x.diagram, cfg.delta).total
-
-
-def _safe_whitney(curve: ClosedCurve):
+def _record(it: int, x: _Iterate, cfg: FlowConfig, grad_norm=None, step=None, rejected=()) -> IterateRecord:
     try:
-        return whitney_index(curve)
+        whitney = whitney_index(x.curve)
     except ValueError:
-        return None
+        whitney = None
+    return IterateRecord(it, x.u, x.resistance.total, x.diagram.n_crossings, _monitor(x, cfg), whitney,
+                         grad_norm, step, rejected)
+
+
+def _monitor(x: _Iterate, cfg: FlowConfig) -> float:
+    """The GMRE monitor value of an iterate: 0 without crossings, inf if a
+    zero-area cycle makes it singular; under resistance="GMRE" it is the
+    breakdown the iterate already carries."""
+    if not x.diagram.n_crossings:
+        return 0.0
+    try:
+        return x.resistance.total if cfg.resistance == "GMRE" else gmre(x.diagram, cfg.delta).total
+    except SingularDiagramError:
+        return np.inf

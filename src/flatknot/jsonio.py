@@ -4,7 +4,10 @@ Curve JSON:    {"points": [[x, y], ...], "length": L}, N >= 8 finite points, fin
 Diagram JSON:  {"curve": CurveJSON, "crossings": [{"pos": [x, y], "over": i, "under": j}]}
 Census JSON:   {"counts_by_arcs": {...}, "alternated": k, "total": m}
 Energy report: {"functional": name, "value": v, "gradient_norm": n, "el": {...}}
-Trace lines:   one JSON object per iteration plus event records.
+Trace lines:   per iterate {"iter", "U", "R", "gmre", "crossings", "whitney"}, plus
+               "grad_norm" where a gradient was taken and "step" (null if stalled),
+               "backtracks" and "rejected" (each rejected candidate's reason) where a
+               line search ran; then {"event", "iter", "location", "crossing_delta"}.
 """
 
 from __future__ import annotations
@@ -48,14 +51,17 @@ def diagram_to_json(d: KnotDiagram) -> dict:
 
 def diagram_from_json(obj: dict) -> KnotDiagram:
     """Rebuild a diagram: crossings are re-detected from the curve and the
-    stored over/under choices are replayed onto them.  ValueError without
-    a curve, for a crossing record without comparable `over` and `under`,
-    or for a crossing list that does not fit the curve."""
+    stored over/under choices are replayed onto them; on curve JSON (no
+    `crossings` key) they keep detect_crossings' labels.  ValueError
+    without a curve, for a crossing record without comparable `over` and
+    `under`, or for a crossing list that does not fit the curve."""
+    if "crossings" not in obj:
+        return detect_crossings(curve_from_json(obj))
     if "curve" not in obj:
         raise ValueError("diagram JSON needs a curve")
     d = detect_crossings(curve_from_json(obj["curve"]))
     try:
-        recs = sorted(obj.get("crossings", []), key=lambda r: min(r["over"], r["under"]))
+        recs = sorted(obj["crossings"], key=lambda r: min(r["over"], r["under"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"diagram crossings need over and under passages: {exc!r}") from None
     return d.relabelled(r["over"] < r["under"] for r in recs) if recs else d
@@ -91,16 +97,14 @@ def energy_report_json(name: str, value: float, grad_norm: float, el) -> dict:
 
 
 def write_trace_jsonl(trace, path) -> None:
-    """One line per iterate, then one per event.  An iterate a step was
-    taken from also carries that step's grad_norm, step and backtracks."""
-    steps = list(zip(trace.grad_norms, trace.steps, trace.backtracks, strict=True))
+    """One line per IterateRecord, then one per event."""
     with open(path, "w") as fh:
-        for k, ((it, u, r, total), gm, nc) in enumerate(
-            zip(trace.energies, trace.gmre_values, trace.crossing_counts)
-        ):
-            rec = {"iter": it, "U": u, "R": r, "gmre": gm, "crossings": nc}
-            if k < len(steps):
-                rec.update(zip(("grad_norm", "step", "backtracks"), steps[k]))
+        for r in trace.records:
+            rec = {"iter": r.iter, "U": r.u, "R": r.r, "gmre": r.gmre, "crossings": r.crossings, "whitney": r.whitney}
+            if r.grad_norm is not None:
+                rec["grad_norm"] = r.grad_norm
+            if r.step is not None or r.rejected:
+                rec.update(step=r.step, backtracks=len(r.rejected), rejected=list(r.rejected))
             fh.write(json.dumps(rec) + "\n")
         for ev in trace.events:
             fh.write(

@@ -134,7 +134,7 @@ def pendulum_alpha(p: PendulumParams, n: int) -> GaussRep:
 def delta_x(xi: float, r: int, n: int = _DX_NODES) -> float:
     """Closure integral int_0^{2pi} (1 - 2 xi^2 sn^2(r K(xi) t / pi | xi)) dt.
 
-    Периodic trapezoid value; independent of r because sn^2 has period 2K.
+    Periodic trapezoid value; independent of r because sn^2 has period 2K.
     """
     if not abs(xi) < 1.0:
         raise ModulusRangeError("modulus out of range")

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from flatknot import flow
+from flatknot.curve import ClosedCurve
 from flatknot.diagram import detect_crossings, diagram_faces, enumerate_cycles
 from flatknot.fixtures import trefoil_curve
 
@@ -40,7 +41,6 @@ def test_flow_step_positional_call():
     "fn, args",
     [
         (flow.relax, ("curve", "cfg", "keyframe_cb")),
-        (flow.total_energy, ("curve", "cfg", "diagram")),
         (flow.classify_event, ("before", "after", 0.1)),
     ],
 )
@@ -57,3 +57,16 @@ def test_diagram_records_read_by_workloads():
     for cy in enumerate_cycles(d):
         assert cy.polyline.shape[1] == 2 and cy.n_arcs >= 1
         assert isinstance(cy.alternated, bool) and cy.area > 0
+
+
+def test_trace_read_by_workloads():
+    """The flow workloads and the flow span read these attributes of a
+    FlowTrace: energies as (iter, U, R, total) with total = U + R, the
+    crossing counts, how it ended, the final curve and the events."""
+    tr = flow.relax(trefoil_curve(128), flow.FlowConfig(resistance="RE", max_iters=3))
+    assert len(tr.energies) == len(tr.crossing_counts) == 3
+    for k, (it, u, r, total) in enumerate(tr.energies):
+        assert it == k and total == u + r
+    assert tr.crossing_counts == [3, 3, 3]
+    assert tr.terminated == "max_iters" and isinstance(tr.final_curve, ClosedCurve)
+    assert tr.events == []

@@ -192,7 +192,8 @@ class TestRelaxCmd:
         assert detect_crossings(curve_from_json(final)).n_crossings == 0
         lines = (outdir / "trace.jsonl").read_text().strip().splitlines()
         first = json.loads(lines[0])
-        assert {"iter", "U", "R", "gmre", "crossings", "grad_norm", "step", "backtracks"} <= set(first)
+        assert {"iter", "U", "R", "gmre", "crossings", "whitney", "grad_norm", "step", "backtracks",
+                "rejected"} <= set(first)
 
     def test_forbidden_exit(self, tmp_path):
         curve_path = tmp_path / "limacon.json"
@@ -325,9 +326,15 @@ class TestRenderCmd:
         polys = [el for el in ET.fromstring(out.read_text()).iter() if el.tag.endswith("polyline")]
         assert len(polys) == 1 + 2 * d.n_crossings
 
-    def test_triple_point_draws_the_curve_alone(self, triple_point_json, tmp_path):
-        out = tmp_path / "triple.svg"
-        assert main(["render", str(triple_point_json), str(out)]) == 0
+    @pytest.mark.parametrize("wire", ["curve", "diagram"])
+    def test_triple_point_draws_the_curve_alone(self, triple_point_json, tmp_path, wire):
+        """No diagram exists on a triple-point curve, whether it comes as
+        curve JSON or inside diagram JSON: render draws the curve alone."""
+        path, out = triple_point_json, tmp_path / "triple.svg"
+        if wire == "diagram":
+            path = tmp_path / "triple_diagram.json"
+            dump_json({"curve": json.loads(triple_point_json.read_text()), "crossings": []}, path)
+        assert main(["render", str(path), str(out)]) == 0
         polys = [el for el in ET.fromstring(out.read_text()).iter() if el.tag.endswith("polyline")]
         assert len(polys) == 1
 

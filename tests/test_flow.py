@@ -24,11 +24,11 @@ from flatknot.flow import (
     flow_step,
     relax,
     resistance_breakdown,
-    total_energy,
 )
 from flatknot.pendulum import elliptic_k
 from flatknot.uniformization import (
     F_X2,
+    energy_uf,
     gradient_norm,
     project_closure,
     uf_gradient,
@@ -88,16 +88,22 @@ def triangle_strand(d, p):
     return round(d.passage_params[p] / (TWO_PI / 3)) % 3
 
 
+def energy_split(c, cfg):
+    """(U, R) of a curve: U_f of its angles and the configured resistance
+    of its detected diagram."""
+    return energy_uf(gauss_from_curve(c), cfg.functional), resistance_breakdown(detect_crossings(c), cfg).total
+
+
 class TestTotalEnergy:
     def test_round_circle(self):
         cfg = FlowConfig(resistance="MRE", delta=0.01)
-        u, r = total_energy(circle_curve(512), cfg)
+        u, r = energy_split(circle_curve(512), cfg)
         assert u == pytest.approx(TWO_PI, abs=1e-6)
         assert r == 0.0
 
     def test_infinity_with_re(self, infinity_curve):
         cfg = FlowConfig(resistance="RE")
-        u, r = total_energy(infinity_curve, cfg)
+        u, r = energy_split(infinity_curve, cfg)
         assert u == pytest.approx(17.8949330683, abs=1e-6)  # frozen regression
         lobes = enumerate_cycles(detect_crossings(infinity_curve))
         assert abs(lobes[0].area - lobes[1].area) < 1e-6
@@ -118,8 +124,8 @@ class TestTotalEnergy:
     def test_scaling_laws(self, trefoil_diagram):
         cfg = FlowConfig(resistance="RE")
         c = trefoil_diagram.curve
-        u1, r1 = total_energy(c, cfg)
-        u2, r2 = total_energy(c.scaled(2.0), cfg)
+        u1, r1 = energy_split(c, cfg)
+        u2, r2 = energy_split(c.scaled(2.0), cfg)
         assert u2 == pytest.approx(u1 / 2, rel=1e-9)
         assert r2 == pytest.approx(r1 / 4, rel=1e-9)
 
@@ -254,9 +260,9 @@ class TestFlowStep:
     def test_descends_on_perturbed_circle(self):
         cfg = FlowConfig(resistance="none", step0=1e-4)
         c = noisy_circle(128, seed=3)
-        e0 = sum(total_energy(c, cfg))
+        e0 = sum(energy_split(c, cfg))
         c1, s = flow_step(c, cfg, cfg.step0)
-        assert sum(total_energy(c1, cfg)) < e0
+        assert sum(energy_split(c1, cfg)) < e0
         assert s > 0
 
     def test_critical_circle_barely_moves(self):
@@ -470,32 +476,82 @@ class TestRelax:
 
     @pytest.mark.parametrize("max_iters", [15, 2000])
     def test_per_step_fields(self, max_iters):
-        """One grad_norm, step and backtracks entry per step taken: a
-        converged flow takes one step fewer than it records iterates."""
+        """Every iterate a step was taken from records its gradient norm
+        and accepted step; a converged flow's last record has only the
+        gradient norm that stopped it."""
         cfg = FlowConfig(resistance="MRE", delta=0.05, grad_tol=2e-3, max_iters=max_iters)
         tr = relax(noisy_circle(128, seed=5), cfg)
-        taken = len(tr.energies) - (tr.terminated == "converged")
+        converged = tr.terminated == "converged"
         assert tr.terminated == ("max_iters" if max_iters == 15 else "converged")
-        assert len(tr.grad_norms) == len(tr.steps) == len(tr.backtracks) == taken
-        assert all(b >= 0 for b in tr.backtracks)
-        assert all(0 < s <= 1.0 for s in tr.steps)
-        assert all(gn >= cfg.grad_tol for gn in tr.grad_norms)
+        assert [r.iter for r in tr.records] == list(range(len(tr.records)))
+        stepped = tr.records[:-1] if converged else tr.records
+        assert all(0 < r.step <= 1.0 and r.grad_norm >= cfg.grad_tol for r in stepped)
+        if converged:
+            last = tr.records[-1]
+            assert last.grad_norm < cfg.grad_tol and last.step is None and last.rejected == ()
+
+    def test_rejected_counts_the_halvings(self):
+        """Each rejected candidate halves the step, exactly in binary, so
+        len(rejected) is log2(tried / accepted), with the step tried at
+        each iterate the last accepted one grown by _STEP_GROWTH."""
+        cfg = FlowConfig(resistance="MRE", delta=0.2, step0=1e-4, grad_tol=1e-4, max_iters=60)
+        tr = relax(trefoil_curve(128), cfg)
+        stepped = [r for r in tr.records if r.step is not None]
+        tried = cfg.step0
+        for r in stepped:
+            assert len(r.rejected) == round(np.log2(tried / r.step))
+            tried = min(r.step * flow._STEP_GROWTH, 1.0)
+        assert len(stepped) > 10 and sum(len(r.rejected) for r in stepped) > 0
+
+    def test_rejection_reasons(self, monkeypatch):
+        """A candidate is rejected for the error its measurement raised,
+        else for failing the Armijo test, and each rejection halves the
+        step."""
+        cfg = FlowConfig(resistance="RE")
+        x = flow._start(trefoil_curve(128), cfg)
+        errors = iter([CodimensionOneError("triple point"), SingularDiagramError("zero area"),
+                       StalledError("open lift")])
+
+        def failing(prev, curve, radius, _rule=flow._inherited_rule):
+            err = next(errors, None)
+            if err is not None:
+                raise err
+            return _rule(prev, curve, radius)
+
+        monkeypatch.setattr(flow, "_inherited_rule", failing)
+        _, s, rejected = flow._step_from_alpha(x, flow._projected_gradient(x, cfg), cfg, 1.0)
+        assert rejected[:3] == ("codim1", "singular", "stalled") and set(rejected[3:]) <= {"armijo"}
+        assert s == 0.5 ** len(rejected)
+
+    def test_stalled_record_lists_its_candidates(self):
+        """The c12d trefoil stalls: its last record has no step, and every
+        candidate tried, halving from the grown step to below 1e-12, is
+        rejected with a reason."""
+        cfg = FlowConfig(resistance="MRE", delta=0.2, step0=1e-4, grad_tol=1e-4, max_iters=800)
+        tr = relax(trefoil_curve(256), cfg)
+        assert tr.terminated == "stalled"
+        *_, prev, last = tr.records
+        assert last.step is None and last.grad_norm >= cfg.grad_tol
+        tried = min(prev.step * flow._STEP_GROWTH, 1.0)
+        assert tried * 0.5 ** len(last.rejected) < flow._STEP_FLOOR <= tried * 0.5 ** (len(last.rejected) - 1)
+        assert set(last.rejected) <= {"codim1", "singular", "stalled", "armijo"}
 
     def test_stalled_line_search_is_not_converged(self, monkeypatch):
         def stall(*args):
-            raise StalledError("stalled")
+            raise StalledError("stalled", ("codim1", "armijo"))
 
         monkeypatch.setattr(flow, "_step_from_alpha", stall)
         cfg = FlowConfig(resistance="none", grad_tol=1e-4, max_iters=50)
         tr = relax(noisy_circle(128, seed=5), cfg)
         assert tr.terminated == "stalled"
-        assert len(tr.energies) == 1 and tr.grad_norms == []
-        assert len(tr.findings) == 1 and tr.findings[0].startswith("iter 0: line search stalled at |grad| = ")
+        [rec] = tr.records
+        assert rec.step is None and rec.grad_norm >= cfg.grad_tol
+        assert rec.rejected == ("codim1", "armijo")
 
     def test_whitney_stays_put(self):
         cfg = FlowConfig(resistance="none", step0=1e-4, grad_tol=1e-3, max_iters=120)
         tr = relax(noisy_figure_eight(160, seed=4), cfg)
-        assert not any("Whitney" in f for f in tr.findings)
+        assert {r.whitney for r in tr.records} == {0}
 
     def test_trefoil_keeps_small_cycles(self):
         cfg = FlowConfig(resistance="MRE", delta=0.2, step0=1e-4, grad_tol=1e-4, max_iters=400)
@@ -534,11 +590,11 @@ class TestRelax:
         monkeypatch.setattr(flow, "gmre", counted)
         monkeypatch.setattr(flow, "_measure", measure)
         tr = relax(trefoil_curve(128), cfg)
-        assert len(tr.gmre_values) == cfg.max_iters and tr.max_gmre > 0
+        assert len(tr.records) == cfg.max_iters and tr.max_gmre > 0
         assert len(calls) == len(measured)
 
         monkeypatch.setattr(flow, "_monitor", lambda x, cfg: gmre(x.diagram, cfg.delta).total)
-        assert relax(trefoil_curve(128), cfg).gmre_values == tr.gmre_values
+        assert [r.gmre for r in relax(trefoil_curve(128), cfg).records] == [r.gmre for r in tr.records]
 
     def test_gmre_monitor_on_clean_run(self):
         cfg = FlowConfig(resistance="MRE", delta=0.1, step0=1e-4, grad_tol=5e-4, max_iters=120)

@@ -49,14 +49,17 @@ def test_trace_jsonl(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace_jsonl(tr, path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(lines) == len(tr.energies)
-    for rec, (it, u, r, total) in zip(lines, tr.energies):
-        assert rec["iter"] == it
-        assert rec["U"] + rec["R"] == pytest.approx(total, abs=1e-8)
-    # each iterate a step was taken from carries that step
-    stepped = [(rec["grad_norm"], rec["step"], rec["backtracks"]) for rec in lines if "step" in rec]
-    assert stepped == list(zip(tr.grad_norms, tr.steps, tr.backtracks))
-    assert len(stepped) == len(tr.steps) > 0
+    assert len(lines) == len(tr.records) + len(tr.events)
+    for rec, r in zip(lines, tr.records):
+        assert (rec["iter"], rec["U"], rec["R"], rec["gmre"], rec["crossings"], rec["whitney"]) == (
+            r.iter, r.u, r.r, r.gmre, r.crossings, r.whitney)
+        # each iterate a step was taken from carries that step
+        if r.step is not None:
+            assert (rec["grad_norm"], rec["step"], rec["backtracks"], rec["rejected"]) == (
+                r.grad_norm, r.step, len(r.rejected), list(r.rejected))
+        else:
+            assert "step" not in rec
+    assert sum(r.step is not None for r in tr.records) > 0
 
 
 class TestSvg:
