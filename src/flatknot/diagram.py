@@ -116,6 +116,14 @@ class DiagramGraph:
                 self.slot_edge[c][s] = eid
         return eid
 
+    @cached_property
+    def lobes(self) -> list[tuple[float, list, list]]:
+        """Per edge: its lobe (the shoelace of its points about the first
+        one) and its first and last points, computed on first use, once
+        the map is wired; a `KnotDiagram.relabelled` copy made after that
+        shares it."""
+        return [(signed_area(e.points), e.points[0].tolist(), e.points[-1].tolist()) for e in self.edges]
+
 
 def signed_area(points: np.ndarray) -> float:
     """Signed shoelace area of a closed polyline (last edge implied),
@@ -131,32 +139,22 @@ def shoelace_area(points: np.ndarray) -> float:
     return abs(signed_area(points))
 
 
-def _walk_areas(g: DiagramGraph, eids):
-    """A function giving the signed area of a closed walk of darts
-    `(edge id, forward?)` over the edges `eids`: the sum of the edges'
-    lobes (each edge's shoelace about its first point), signed by
-    direction, plus the shoelace of the walk's corners about the first
-    one.  This is the polyline shoelace about its first vertex, regrouped.
-    """
-    lobe, ends = {}, {}
-    for eid in eids:
-        pts = g.edges[eid].points
-        lobe[eid] = signed_area(pts)
-        ends[eid] = (pts[0].tolist(), pts[-1].tolist())
-
-    def area(walk):
-        eid, fwd = walk[0]
-        x0, y0 = ends[eid][not fwd]  # where the walk starts
-        total = corner = px = py = 0.0
-        for eid, fwd in walk:
-            x, y = ends[eid][fwd]
-            x, y = x - x0, y - y0
-            total += lobe[eid] if fwd else -lobe[eid]
-            corner += px * y - py * x
-            px, py = x, y
-        return total + corner / 2.0
-
-    return area
+def _walk_area(g: DiagramGraph, walk) -> float:
+    """The signed area of a closed walk of darts `(edge id, forward?)`:
+    the sum of the edges' lobes, signed by direction, plus the shoelace
+    of the walk's corners about the first one.  This is the polyline
+    shoelace about its first vertex, regrouped."""
+    eid, fwd = walk[0]
+    x0, y0 = g.lobes[eid][2 - fwd]  # where the walk starts
+    total = corner = px = py = 0.0
+    for eid, fwd in walk:
+        lobe, *ends = g.lobes[eid]
+        x, y = ends[fwd]
+        x, y = x - x0, y - y0
+        total += lobe if fwd else -lobe
+        corner += px * y - py * x
+        px, py = x, y
+    return total + corner / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -368,71 +366,81 @@ def enumerate_cycles_graph(
     exactly once.  At a turn the path arrives on one strand and leaves on
     the other, so exactly one of the two is over: an arc is alternated
     when the turns at its two ends are left on the same level, and a
-    cycle when all its turns are.  The search carries the turn count and
-    the set of levels its turns were left on; arc_cap prunes on the
-    running turn count.
+    cycle when all its turns are.  The search carries the turn count,
+    the set of levels its turns were left on (bit 1: over, bit 0: under)
+    and the crossings it used (a bitmask, tested before it descends);
+    arc_cap prunes on the running turn count.  It also carries the sums
+    of `_walk_area`, added in the same order, so a cycle's area is that
+    function's value bit for bit without a second walk.
     """
     allowed = set(range(len(g.edges))) if edge_subset is None else set(edge_subset)
-    # darts out of each crossing, in slot_edge order: (slot out, edge, forward?, arrival end)
-    darts = [[] for _ in range(g.n_crossings)]
+    over, lobes = g.over_strand, g.lobes
+
+    def passing(c, s_in, s_out):
+        """Turns added and level bit set by passing crossing c from slot s_in to slot s_out."""
+        if _SLOT_STRAND[s_in] == _SLOT_STRAND[s_out]:
+            return 0, 0
+        return 1, 1 << (over[c] == _SLOT_STRAND[s_out])
+
+    # steps[c][s_in]: the darts out of crossing c entered by slot s_in, in
+    # slot_edge order: (edge, forward?, next crossing, its slot, turns
+    # added, level bit, signed lobe, arrival point)
+    steps = [[[] for _ in range(4)] for _ in range(g.n_crossings)]
     for c, slots in enumerate(g.slot_edge):
         for s_out, eid in slots.items():
             e0, e1, _, _ = g.edges[eid]
             if eid in allowed and e0 is not None and e1 is not None:
                 fwd = (c, s_out) == e0
-                darts[c].append((s_out, eid, fwd, e1 if fwd else e0))
-    over = g.over_strand
-    area_of = _walk_areas(g, allowed)
+                lobe, first, last = lobes[eid]
+                dart = (eid, fwd, *(e1 if fwd else e0))
+                for s_in in slots:
+                    if s_in != s_out:
+                        steps[c][s_in].append((*dart, *passing(c, s_in, s_out), lobe if fwd else -lobe,
+                                               *(last if fwd else first)))
+    cap = g.n_crossings if arc_cap is None else arc_cap  # a path turns at most once per crossing
     found: list[DiagramCycle] = []
-
-    def passed(c, s_in, s_out, turns, levels):
-        """Turn count and levels (bit 1: left over, bit 0: left under)
-        after passing crossing c from slot s_in to slot s_out."""
-        if _SLOT_STRAND[s_in] == _SLOT_STRAND[s_out]:
-            return turns, levels
-        return turns + 1, levels | 1 << (over[c] == _SLOT_STRAND[s_out])
-
-    def record(turns, levels):
-        n_arcs = max(1, turns)
-        if arc_cap is not None and n_arcs > arc_cap:
-            return
-        area = abs(area_of(path))
-        if area_cap is not None and area >= area_cap:
-            return
-        edge_ids, orientations = zip(*path)
-        found.append(DiagramCycle(edge_ids, orientations, n_arcs, levels != 3, area, g.edges))
-        if len(found) > max_cycles:
-            raise CycleExplosionError(
-                f"cycle explosion: more than {max_cycles} cycles", len(found)
-            )
 
     for anchor in sorted(allowed):
         end0, end1, _, _ = g.edges[anchor]
         if end0 is None or end1 is None:
             continue
         c_home, s_home = end0
-        used_cross = set()
-        path = [(anchor, True)]
+        home = [passing(c_home, s_in, s_home) for s_in in range(4)]
+        lobe, (x0, y0), (x, y) = lobes[anchor]
+        eids, fwds = [anchor], [True]
 
-        def dfs(c, s_in, turns, levels):
-            if c == c_home:
-                record(*passed(c, s_in, s_home, turns, levels))
+        def close(s_in, turns, levels, total, corner):
+            t, bit = home[s_in]
+            n_arcs = max(1, turns + t)
+            if n_arcs > cap:
                 return
-            if c in used_cross:
+            area = abs(total + corner / 2.0)
+            if area_cap is not None and area >= area_cap:
                 return
-            used_cross.add(c)
-            for s_out, eid, fwd, (c_next, s_next) in darts[c]:
-                if s_out == s_in or eid <= anchor:
-                    continue
-                t2, l2 = passed(c, s_in, s_out, turns, levels)
-                if arc_cap is not None and t2 > arc_cap:
-                    continue
-                path.append((eid, fwd))
-                dfs(c_next, s_next, t2, l2)
-                path.pop()
-            used_cross.discard(c)
+            found.append(DiagramCycle(tuple(eids), tuple(fwds), n_arcs, levels | bit != 3, area, g.edges))
+            if len(found) > max_cycles:
+                raise CycleExplosionError(f"cycle explosion: more than {max_cycles} cycles", len(found))
 
-        dfs(*end1, 0, 0)
+        def dfs(c, s_in, turns, levels, total, corner, px, py, used):
+            for eid, fwd, c_next, s_next, t, bit, lobe, x, y in steps[c][s_in]:
+                if eid <= anchor or used >> c_next & 1 or turns + t > cap:
+                    continue
+                x, y = x - x0, y - y0
+                eids.append(eid)
+                fwds.append(fwd)
+                if c_next == c_home:
+                    close(s_next, turns + t, levels | bit, total + lobe, corner + (px * y - py * x))
+                else:
+                    dfs(c_next, s_next, turns + t, levels | bit, total + lobe, corner + (px * y - py * x),
+                        x, y, used | 1 << c_next)
+                eids.pop()
+                fwds.pop()
+
+        # the anchor adds its lobe and no corner
+        if end1[0] == c_home:
+            close(end1[1], 0, 0, lobe, 0.0)
+        else:
+            dfs(*end1, 0, 0, lobe, 0.0, x - x0, y - y0, 1 << end1[0])
 
     found.sort(key=lambda cy: (cy.n_arcs, cy.key))
     return found
@@ -487,17 +495,17 @@ def _critical_cycles(d: KnotDiagram, delta: float, arc_cap: int | None = None) -
     """The delta-critical cycles, those of area < delta, with at most
     `arc_cap` arcs, canonically ordered.
 
-    A cycle bounds a union of faces, so one of area < delta encloses only
-    faces of area < delta and each of its edges borders one of them: the
-    search runs on the edges of the bounded faces of area < delta.  It
-    finds each such cycle once, from its least edge id along the same
-    darts as a search of the whole map, so areas and order are those of
-    the whole-map search.
+    A diagram that holds its census filters it.  Otherwise the search
+    runs on the edges of the bounded faces of area < delta: a cycle
+    bounds a union of faces, so one of area < delta encloses only faces
+    of area < delta and each of its edges borders one of them.  It finds
+    each such cycle once, from its least edge id along the same darts as
+    the census, so both ways give the same cycles, areas and order.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    if d.n_crossings == 0:
-        return [cy for cy in d._census if cy.area < delta]
+    if d.n_crossings == 0 or "_census" in vars(d):
+        return [cy for cy in d._census if cy.area < delta and (arc_cap is None or cy.n_arcs <= arc_cap)]
     faces = d._faces
     outer = min(range(len(faces)), key=lambda i: faces[i][1])
     low = set()
@@ -511,14 +519,16 @@ def _critical_cycles(d: KnotDiagram, delta: float, arc_cap: int | None = None) -
 
 def mre(d: KnotDiagram, delta: float) -> EnergyBreakdown:
     """Material resistance energy: sum of (1/A - 1/delta) over the
-    delta-critical alternated cycles."""
+    delta-critical alternated cycles, filtered from the census when the
+    diagram holds one (`_critical_cycles`)."""
     return _breakdown([cy for cy in _critical_cycles(d, delta) if cy.alternated], "MRE", delta)
 
 
 def gmre(d: KnotDiagram, delta: float) -> EnergyBreakdown:
     """Genericity modification: the delta-critical alternated cycles with
     at most 3 arcs, plus every delta-critical 4-arc cycle, alternated or
-    not.  At delta = inf the 1/delta term is 0 and no area is capped."""
+    not.  At delta = inf the 1/delta term is 0 and no area is capped.
+    Like `mre`, it filters the census when the diagram holds one."""
     cycles = [
         cy
         for cy in _critical_cycles(d, delta, arc_cap=4)
@@ -567,7 +577,6 @@ def diagram_faces(d: KnotDiagram):
 
 def _walk_faces(g: DiagramGraph) -> tuple:
     rot = _rotations(g)
-    area_of = _walk_areas(g, range(len(g.edges)))
     darts = set()
     for eid, (e0, e1, _, _) in enumerate(g.edges):
         if e0 is not None and e1 is not None:
@@ -594,5 +603,5 @@ def _walk_faces(g: DiagramGraph) -> tuple:
             dart = (nid, (c, s_out) == n0)
             if dart == start:
                 break
-        faces.append((frozenset(eid for eid, _ in walk), area_of(walk), tuple(walk)))
+        faces.append((frozenset(eid for eid, _ in walk), _walk_area(g, walk), tuple(walk)))
     return tuple(faces)

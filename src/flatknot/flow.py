@@ -195,7 +195,7 @@ def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
     first, edge = np.cumsum(size) - size, np.repeat(np.arange(len(runs)), size)
     p = verts[walk]
     seg = np.roll(p, -1, axis=0) - p
-    # areas regrouped as in diagram._walk_areas: edge lobes plus corner polygon
+    # areas regrouped as in diagram._walk_area: edge lobes plus corner polygon
     lobe = np.add.reduceat(_cross(p - p[first][edge], seg), first) / 2
     eid = np.fromiter(chain.from_iterable(cy.edge_ids for cy in bd.cycles), int)
     o = np.fromiter(chain.from_iterable(cy.orientations for cy in bd.cycles), bool) * 2.0 - 1
@@ -489,8 +489,9 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
     aborts with terminated = "forbidden_event", after a last record of the
     offending state.  The flow ends "converged" when the projected
     gradient norm falls below grad_tol, and "stalled" when the line search
-    finds no step (its record lists every rejected candidate); a frozen
-    cycle of zero area ends it with terminated = "singular".
+    finds no step (its record lists every rejected candidate) or its step
+    moves nothing; a frozen cycle of zero area ends it with
+    terminated = "singular".
     """
     trace = FlowTrace()
     try:
@@ -512,6 +513,8 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
                 trace.terminated = "converged"
             else:
                 y, accepted, rejected = _step_from_alpha(x, grad, cfg, step)
+                if y is x:  # critical to rounding: the step moved no angle
+                    y, accepted, trace.terminated = None, None, "stalled"
         except SingularDiagramError:
             trace.terminated = "singular"
         except StalledError as exc:

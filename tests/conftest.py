@@ -4,6 +4,9 @@ import hypothesis
 import numpy as np
 import pytest
 
+from flatknot.diagram import DEFAULT_CYCLE_LIMIT, DiagramCycle, DiagramGraph, signed_area
+from flatknot.errors import CycleExplosionError
+
 hypothesis.settings.register_profile(
     "default", max_examples=40, deadline=None, derandomize=True
 )
@@ -201,3 +204,127 @@ def _changed_crossings(seq_b, seq_a, pairs):
         if _cyclic_equal([x for x in seq_b if x not in drop], [x for x in seq_a if x not in drop]):
             return [label_to_after[lbl] for lbl in combo]
     return []
+
+
+# ---------------------------------------------------------------------------
+# the cycle search with a second walk per cycle: the oracle of
+# diagram.enumerate_cycles_graph
+# ---------------------------------------------------------------------------
+
+_SLOT_STRAND = (0, 0, 1, 1)
+
+
+def _walk_areas(g: DiagramGraph, eids):
+    """A function giving the signed area of a closed walk of darts
+    `(edge id, forward?)` over the edges `eids`: the sum of the edges'
+    lobes (each edge's shoelace about its first point), signed by
+    direction, plus the shoelace of the walk's corners about the first
+    one.  This is the polyline shoelace about its first vertex, regrouped.
+    """
+    lobe, ends = {}, {}
+    for eid in eids:
+        pts = g.edges[eid].points
+        lobe[eid] = signed_area(pts)
+        ends[eid] = (pts[0].tolist(), pts[-1].tolist())
+
+    def area(walk):
+        eid, fwd = walk[0]
+        x0, y0 = ends[eid][not fwd]  # where the walk starts
+        total = corner = px = py = 0.0
+        for eid, fwd in walk:
+            x, y = ends[eid][fwd]
+            x, y = x - x0, y - y0
+            total += lobe[eid] if fwd else -lobe[eid]
+            corner += px * y - py * x
+            px, py = x, y
+        return total + corner / 2.0
+
+    return area
+
+
+def enumerate_cycles_graph_oracle(
+    g: DiagramGraph,
+    area_cap: float | None = None,
+    arc_cap: int | None = None,
+    max_cycles: int = DEFAULT_CYCLE_LIMIT,
+    edge_subset=None,
+) -> list[DiagramCycle]:
+    """Oracle of diagram.enumerate_cycles_graph: the search as it was
+    before the step tables, the crossing bitmask and the carried area
+    sums, kept verbatim.
+
+    All embedded circles of a 4-valent map, canonically ordered.
+
+    DFS anchored at the minimal edge id of each cycle; the anchor is
+    traversed in its stored orientation, so every cycle is produced
+    exactly once.  At a turn the path arrives on one strand and leaves on
+    the other, so exactly one of the two is over: an arc is alternated
+    when the turns at its two ends are left on the same level, and a
+    cycle when all its turns are.  The search carries the turn count and
+    the set of levels its turns were left on; arc_cap prunes on the
+    running turn count.
+    """
+    allowed = set(range(len(g.edges))) if edge_subset is None else set(edge_subset)
+    # darts out of each crossing, in slot_edge order: (slot out, edge, forward?, arrival end)
+    darts = [[] for _ in range(g.n_crossings)]
+    for c, slots in enumerate(g.slot_edge):
+        for s_out, eid in slots.items():
+            e0, e1, _, _ = g.edges[eid]
+            if eid in allowed and e0 is not None and e1 is not None:
+                fwd = (c, s_out) == e0
+                darts[c].append((s_out, eid, fwd, e1 if fwd else e0))
+    over = g.over_strand
+    area_of = _walk_areas(g, allowed)
+    found: list[DiagramCycle] = []
+
+    def passed(c, s_in, s_out, turns, levels):
+        """Turn count and levels (bit 1: left over, bit 0: left under)
+        after passing crossing c from slot s_in to slot s_out."""
+        if _SLOT_STRAND[s_in] == _SLOT_STRAND[s_out]:
+            return turns, levels
+        return turns + 1, levels | 1 << (over[c] == _SLOT_STRAND[s_out])
+
+    def record(turns, levels):
+        n_arcs = max(1, turns)
+        if arc_cap is not None and n_arcs > arc_cap:
+            return
+        area = abs(area_of(path))
+        if area_cap is not None and area >= area_cap:
+            return
+        edge_ids, orientations = zip(*path)
+        found.append(DiagramCycle(edge_ids, orientations, n_arcs, levels != 3, area, g.edges))
+        if len(found) > max_cycles:
+            raise CycleExplosionError(
+                f"cycle explosion: more than {max_cycles} cycles", len(found)
+            )
+
+    for anchor in sorted(allowed):
+        end0, end1, _, _ = g.edges[anchor]
+        if end0 is None or end1 is None:
+            continue
+        c_home, s_home = end0
+        used_cross = set()
+        path = [(anchor, True)]
+
+        def dfs(c, s_in, turns, levels):
+            if c == c_home:
+                record(*passed(c, s_in, s_home, turns, levels))
+                return
+            if c in used_cross:
+                return
+            used_cross.add(c)
+            for s_out, eid, fwd, (c_next, s_next) in darts[c]:
+                if s_out == s_in or eid <= anchor:
+                    continue
+                t2, l2 = passed(c, s_in, s_out, turns, levels)
+                if arc_cap is not None and t2 > arc_cap:
+                    continue
+                path.append((eid, fwd))
+                dfs(c_next, s_next, t2, l2)
+                path.pop()
+            used_cross.discard(c)
+
+        dfs(*end1, 0, 0)
+
+    found.sort(key=lambda cy: (cy.n_arcs, cy.key))
+    return found

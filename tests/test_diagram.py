@@ -1,7 +1,10 @@
+import sys
+from math import factorial
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from math import factorial
 
 from flatknot import diagram as diagram_module
 from flatknot.curve import ClosedCurve, resample_arclength
@@ -28,7 +31,7 @@ from flatknot.fixtures import (
 )
 from flatknot.lattice import woven_fragment
 
-from conftest import cycle_vertex_ids
+from conftest import cycle_vertex_ids, enumerate_cycles_graph_oracle
 
 TWO_PI = 2 * np.pi
 
@@ -387,6 +390,65 @@ class TestEnumerate:
                 assert cy.alternated
 
 
+def cycle_records(cycles):
+    """Every field of each cycle record, areas as their bits."""
+    return [(cy.edge_ids, cy.orientations, cy.n_arcs, cy.alternated, cy.area.hex()) for cy in cycles]
+
+
+@pytest.fixture(scope="module")
+def census_pools():
+    """The diagrams of the benchmark's census workload at seeds 1 and 2."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+    try:
+        from workloads import Census
+    finally:
+        sys.path.pop(0)
+    return [detect_crossings(c) for seed in (1, 2) for c in Census(seed)._make_pool()]
+
+
+class TestSearchMatchesOracle:
+    """The search against the one it replaced (conftest), which walks
+    every closed path again for its area: the same records in the same
+    order, areas bit for bit."""
+
+    @pytest.mark.parametrize("area_cap,arc_cap", CAP_SETTINGS)
+    def test_census_pools(self, census_pools, area_cap, arc_cap):
+        for d in census_pools:
+            want = enumerate_cycles_graph_oracle(d.graph, area_cap, arc_cap)
+            assert cycle_records(enumerate_cycles_graph(d.graph, area_cap, arc_cap)) == cycle_records(want)
+
+    @pytest.mark.parametrize("area_cap,arc_cap", CAP_SETTINGS)
+    def test_oracle_graphs_and_woven_fragments(self, area_cap, arc_cap):
+        graphs = oracle_graphs() + [("woven5", woven_fragment(5))]
+        for name, g in graphs:
+            want = enumerate_cycles_graph_oracle(g, area_cap, arc_cap)
+            assert cycle_records(enumerate_cycles_graph(g, area_cap, arc_cap)) == cycle_records(want), name
+
+    @pytest.mark.parametrize("delta", [0.05, 0.2, 1.0, np.inf])
+    def test_critical_edge_subsets(self, census_pools, monkeypatch, delta):
+        """Each search of _critical_cycles, on its subset of the edges."""
+        calls = []
+        search = diagram_module.enumerate_cycles_graph
+        monkeypatch.setattr(diagram_module, "enumerate_cycles_graph",
+                            lambda *a, **kw: calls.append((a, kw)) or search(*a, **kw))
+        diagrams = census_pools[:17] + [detect_crossings(c) for c, _ in random_immersed_curves(11, seed=77, n=200)]
+        for d in diagrams:
+            mre(d, delta)
+            gmre(d, delta)
+        assert len(calls) > len(diagrams)
+        for args, kwargs in calls:
+            assert cycle_records(search(*args, **kwargs)) == cycle_records(
+                enumerate_cycles_graph_oracle(*args, **kwargs))
+
+    def test_explosion_at_the_same_count(self, trefoil_diagram):
+        for max_cycles in (0, 5, 10):
+            with pytest.raises(CycleExplosionError) as want:
+                enumerate_cycles_graph_oracle(trefoil_diagram.graph, max_cycles=max_cycles)
+            with pytest.raises(CycleExplosionError) as got:
+                enumerate_cycles_graph(trefoil_diagram.graph, max_cycles=max_cycles)
+            assert got.value.partial_count == want.value.partial_count == max_cycles + 1
+
+
 class TestAreas:
     def test_circle_area(self):
         cy = enumerate_cycles(detect_crossings(circle_curve(512)))[0]
@@ -476,6 +538,35 @@ class TestSharedCensus:
         assert len(diagram_module.enumerate_cycles_graph(d.graph, arc_cap=2)) == 9
         assert len(enumerate_cycles(d, max_cycles=11)) == 11
         assert len(searches) == 4
+
+    def test_energies_filter_the_census(self, searches):
+        """With the census in hand, MRE and GMRE filter it: one search per
+        diagram, and the breakdowns of a fresh diagram that searches the
+        low faces instead, bit for bit."""
+        found = 0
+        for c, _ in random_immersed_curves(11, seed=77, n=200):
+            d = detect_crossings(c)
+            cycles = enumerate_cycles(d)
+            resistance_energy(d)
+            # the last delta is the area of a one-arc cycle, which neither way counts
+            deltas = (0.05, 0.2, 1.0, np.inf, cycles[0].area)
+            energies = [(mre(d, delta), gmre(d, delta)) for delta in deltas]
+            assert len(searches) == 1
+            fresh = d.relabelled(cr.first_over for cr in d.crossings)
+            assert energies == [(mre(fresh, delta), gmre(fresh, delta)) for delta in deltas]
+            assert "_census" not in vars(fresh)
+            found += sum(len(bd.cycles) for pair in energies[:2] for bd in pair)
+            searches.clear()
+        assert found > 0
+
+    def test_census_op_takes_each_lobe_once(self, monkeypatch):
+        calls = []
+        area = diagram_module.signed_area
+        monkeypatch.setattr(diagram_module, "signed_area", lambda pts: calls.append(1) or area(pts))
+        c, _ = random_immersed_curves(11, seed=77, n=200)[4]
+        d = detect_crossings(c)
+        enumerate_cycles(d), diagram_faces(d), resistance_energy(d), mre(d, 0.05), gmre(d, 0.05)
+        assert len(calls) == len(d.graph.edges)
 
     def test_mre_and_gmre_search_once_each(self, searches):
         # three separate groups of faces of area < 0.05, searched together

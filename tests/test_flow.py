@@ -548,6 +548,16 @@ class TestRelax:
         assert rec.step is None and rec.grad_norm >= cfg.grad_tol
         assert rec.rejected == ("codim1", "armijo")
 
+    def test_step_that_moves_nothing_stalls(self):
+        """At the circle the accepted step rounds to the same angles, so
+        the flow ends stalled at its first record instead of repeating
+        that step until max_iters."""
+        cfg = FlowConfig(resistance="none", grad_tol=1e-300, max_iters=50)
+        tr = relax(circle_curve(128), cfg)
+        assert tr.terminated == "stalled"
+        [rec] = tr.records
+        assert rec.step is None and rec.rejected == () and rec.grad_norm >= cfg.grad_tol
+
     def test_whitney_stays_put(self):
         cfg = FlowConfig(resistance="none", step0=1e-4, grad_tol=1e-3, max_iters=120)
         tr = relax(noisy_figure_eight(160, seed=4), cfg)
