@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +62,7 @@ class Edge(NamedTuple):
     interior_indices: tuple[int, ...] = ()  # curve sample indices strictly inside
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagramCycle:
     edge_ids: tuple[int, ...]
     orientations: tuple[bool, ...]  # per edge_ids entry: traversed forward?
@@ -162,35 +164,39 @@ def _walk_area(g: DiagramGraph, walk) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _sweep_pairs(lo, hi):
+    """The pairs of intervals [lo, hi] that meet, each pair once: sorted
+    by lower end, the interval at sorted position k can meet only the run
+    of intervals after it whose lower end is at most its upper end."""
+    order = np.argsort(lo, kind="stable")
+    runs = np.searchsorted(lo[order], hi[order], side="right") - np.arange(len(lo)) - 1
+    first = np.repeat(np.arange(len(lo)), runs)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(runs) - runs, runs)
+    return order[first], order[second]
+
+
 def _segment_intersections(pts: np.ndarray):
     """All transversal interior intersections between non-adjacent segments.
 
-    Returns (i, j, t, u, point, angle) per intersection with parameters in
-    [0, 1) along segments i < j, in (i, j) order.  The broad phase sorts
-    the segments' boxes by lower x: the box at sorted position k can meet
-    in x only the boxes after it whose lower x is at most its upper x.
+    Returns arrays (i, j, t, u, point, angle), one entry per intersection
+    with parameters in [0, 1) along segments i < j, in (i, j) order, and
+    the midpoints of the collinear overlaps of parallel segments, which
+    the narrow phase cannot see.  The broad phase pairs each segment's box
+    with the boxes that meet it in x (`_sweep_pairs`) and keeps the
+    non-adjacent pairs whose boxes also meet in y; the narrow phase tests
+    those pairs in one array pass, and only the hits are sorted.
     """
     n = len(pts)
     a = pts
-    b = np.roll(pts, -1, axis=0)
+    b = np.concatenate([pts[1:], pts[:1]])
     d = b - a
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    order = np.argsort(lo[:, 0], kind="stable")
-    runs = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(n) - 1
-    first = np.repeat(np.arange(n), runs)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(runs) - runs, runs)
-    ii = np.minimum(order[first], order[second])
-    jj = np.maximum(order[first], order[second])
-    # exclude adjacent pairs and the wrap-adjacent pair (0, n-1)
-    keep = (jj - ii >= 2) & ~((ii == 0) & (jj == n - 1))
+    ii, jj = _sweep_pairs(lo[:, 0], hi[:, 0])
+    ii, jj = np.minimum(ii, jj), np.maximum(ii, jj)
+    # exclude adjacent pairs and the wrap-adjacent pair (0, n-1); the boxes
+    # meet in x by the sweep and must meet in y
+    keep = (jj - ii >= 2) & ~((ii == 0) & (jj == n - 1)) & (lo[ii, 1] <= hi[jj, 1]) & (lo[jj, 1] <= hi[ii, 1])
     ii, jj = ii[keep], jj[keep]
-    # quick bounding-box rejection
-    boxok = np.all((lo[ii] <= hi[jj]) & (lo[jj] <= hi[ii]), axis=1)
-    ii, jj = ii[boxok], jj[boxok]
-    if len(ii) == 0:
-        return []
-    by_ij = np.lexsort((jj, ii))
-    ii, jj = ii[by_ij], jj[by_ij]
     di, dj = d[ii], d[jj]
     denom = di[:, 0] * dj[:, 1] - di[:, 1] * dj[:, 0]
     rel = a[jj] - a[ii]
@@ -199,95 +205,156 @@ def _segment_intersections(pts: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (rel[:, 0] * dj[:, 1] - rel[:, 1] * dj[:, 0]) / denom
         u = (rel[:, 0] * di[:, 1] - rel[:, 1] * di[:, 0]) / denom
-    hit = ok & (t >= 0.0) & (t < 1.0) & (u >= 0.0) & (u < 1.0)
-    out = []
-    for idx in np.nonzero(hit)[0]:
-        i, j = int(ii[idx]), int(jj[idx])
-        point = a[i] + t[idx] * d[i]
-        ang = float(
-            abs(np.arctan2(di[idx, 0] * dj[idx, 1] - di[idx, 1] * dj[idx, 0],
-                           di[idx, 0] * dj[idx, 0] + di[idx, 1] * dj[idx, 1]))
-        )
-        out.append((i, j, float(t[idx]), float(u[idx]), point, ang))
-    return out
+    hit = np.flatnonzero(ok & (t >= 0.0) & (t < 1.0) & (u >= 0.0) & (u < 1.0))
+    hit = hit[np.lexsort((jj[hit], ii[hit]))]
+    i, di, dj = ii[hit], di[hit], dj[hit]
+    point = a[i] + t[hit, None] * d[i]
+    angle = np.abs(np.arctan2(denom[hit], di[:, 0] * dj[:, 0] + di[:, 1] * dj[:, 1]))
+    overlap = _collinear_overlaps(a, d, ii[~ok], jj[~ok]) if not ok.all() else np.empty((0, 2))
+    return i, jj[hit], t[hit], u[hit], point, angle, overlap
+
+
+def _collinear_overlaps(a, d, i, j):
+    """Midpoints of the overlaps of parallel segment pairs (i, j), in
+    (i, j) order: a_j within _POSITION_TOL of segment i's line, and the two
+    spans sharing more than _POSITION_TOL of it (a shorter overlap is a
+    point contact)."""
+    by_ij = np.lexsort((j, i))
+    i, j = i[by_ij], j[by_ij]
+    di, dj, rel = d[i], d[j], a[j] - a[i]
+    sq = np.sum(di * di, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s0, s1 = np.sum(rel * di, axis=1) / sq, np.sum((rel + dj) * di, axis=1) / sq
+    start, end = np.maximum(np.minimum(s0, s1), 0.0), np.minimum(np.maximum(s0, s1), 1.0)
+    norm = np.sqrt(sq)
+    on_line = np.abs(rel[:, 0] * di[:, 1] - rel[:, 1] * di[:, 0]) <= _POSITION_TOL * norm
+    k = on_line & ((end - start) * norm > _POSITION_TOL)
+    return a[i[k]] + ((start + end) / 2)[k, None] * di[k]
+
+
+def _check_vertex_contacts(pts, i, j, t, u, point):
+    """Raise CodimensionOneError at the first hit through a curve vertex
+    where the curve does not cross itself.
+
+    A hit at t = 0 (u = 0) lies on the first vertex of segment i (j), so
+    that strand bends there, coming in along the segment before; at any
+    other hit both strands are straight and cross, as their segments are
+    not parallel.  Strand i comes in along -back and leaves along out;
+    its left is the sector swept counter-clockwise from out to back.  The
+    strands cross when the two rays of strand j leave strictly on
+    opposite sides of strand i; a ray along one of strand i's is a
+    collinear overlap, and two rays on one side a touch.
+    """
+    n = len(pts)
+    cross = lambda p, q: p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+
+    def rays(seg, at_vertex):
+        out = pts[(seg + 1) % n] - pts[seg]
+        return np.where(at_vertex[:, None], pts[seg - 1] - pts[seg], -out), out
+
+    back, out = rays(i, t == 0.0)
+    convex = cross(out, back) > 0
+    sides = []  # per ray of strand j: +1 left of strand i, -1 right, 0 along it
+    for v in rays(j, u == 0.0):
+        s_out, s_back = cross(out, v), cross(v, back)
+        left = np.where(convex, (s_out > 0) & (s_back > 0), (s_out > 0) | (s_back > 0))
+        right = np.where(convex, (s_out < 0) | (s_back < 0), (s_out < 0) & (s_back < 0))
+        sides.append(left.astype(int) - right)
+    meet = sides[0] * sides[1]
+    bad = np.flatnonzero(meet != -1)
+    if len(bad):
+        what = "collinear overlap" if meet[bad[0]] == 0 else "touch without crossing"
+        raise CodimensionOneError(f"codimension-one configuration: {what} at a vertex", location=point[bad[0]])
 
 
 def detect_crossings(c: ClosedCurve) -> "KnotDiagram":
     """Build the knot diagram of a closed polyline in general position.
 
-    Overpasses alternate along the strand, falling back to first passage
-    over where the two passage parities coincide; `KnotDiagram.relabelled`
-    sets any other over/under data on the same geometry.
+    Concurrent crossings, tangential intersections, collinear overlaps
+    and contacts through a vertex that do not cross raise
+    CodimensionOneError at their location; the checks are array tests
+    over the hits.  Overpasses alternate along the strand, falling back
+    to first passage over where the two passage parities coincide;
+    `KnotDiagram.relabelled` sets any other over/under data on the same
+    geometry.
     """
     pts = c.points
     n = c.n
-    hits = _segment_intersections(pts)
-    for k in range(len(hits)):
-        for l in range(k + 1, len(hits)):
-            if np.hypot(*(hits[k][4] - hits[l][4])) < _POSITION_TOL:
-                raise CodimensionOneError(
-                    "codimension-one configuration: concurrent crossings",
-                    location=hits[k][4],
-                )
-    for i, j, t, u, point, ang in hits:
-        if min(ang, np.pi - ang) <= _ANGLE_TOL:
+    i, j, t, u, point, angle, overlap = _segment_intersections(pts)
+    m = len(i)
+    if m > 1:
+        k, l = _sweep_pairs(point[:, 0] - _POSITION_TOL, point[:, 0] + _POSITION_TOL)
+        close = np.hypot(*(point[k] - point[l]).T) < _POSITION_TOL
+        if close.any():
             raise CodimensionOneError(
-                "codimension-one configuration: tangential intersection",
-                location=point,
+                "codimension-one configuration: concurrent crossings",
+                location=point[np.minimum(k, l)[close].min()],
             )
+    tangent = np.flatnonzero(np.minimum(angle, np.pi - angle) <= _ANGLE_TOL)
+    if len(tangent):
+        raise CodimensionOneError(
+            "codimension-one configuration: tangential intersection", location=point[tangent[0]]
+        )
+    if len(overlap):
+        raise CodimensionOneError("codimension-one configuration: collinear overlap", location=overlap[0])
+    if not (t * u).all():  # some hit may lie on a vertex
+        _check_vertex_contacts(pts, i, j, t, u, point)
 
-    # passage parameters in grid units of the normalized parameter
+    # crossings in order of first passage; passage parameters in grid
+    # units of the normalized parameter, their indices by sorting all 2m
     h = TWO_PI / n
-    raw = []
-    for i, j, t, u, point, ang in hits:
-        raw.append(((i + t) * h, (j + u) * h, point, ang, (i, j)))
-    raw.sort(key=lambda r: min(r[0], r[1]))
-    # assign passage indices by sorting all 2n parameters
-    all_params = sorted((s, ci) for ci, rec in enumerate(raw) for s in rec[:2])
-    passage_params = [p for p, _ in all_params]
-    passage_crossing = [ci for _, ci in all_params]
-    passages = [[] for _ in raw]  # per crossing: (first, second) passage index
-    for pi, ci in enumerate(passage_crossing):
-        passages[ci].append(pi)
-
+    i, j, t, u, angle = (x.tolist() for x in (i, j, t, u, angle))
+    s1 = [(a + b) * h for a, b in zip(i, t)]
+    order = sorted(range(m), key=s1.__getitem__)
+    passages = sorted((s, x) for x, k in enumerate(order) for s in (s1[k], (j[k] + u[k]) * h))
+    params, owner = [s for s, _ in passages], [x for _, x in passages]
+    rank = [[] for _ in order]  # per crossing: (first, second) passage index
+    for p, x in enumerate(owner):
+        rank[x].append(p)
+    first_over = [p1 % 2 == 0 or p1 % 2 == p2 % 2 for p1, p2 in rank]
+    point = point[order]
     crossings = [
-        Crossing(np.asarray(point), p1, p2, ang)
-        for (_, _, point, ang, _), (p1, p2) in zip(raw, passages)
+        Crossing(pos, *((p1, p2) if fo else (p2, p1)), angle[k])
+        for pos, (p1, p2), fo, k in zip(point, rank, first_over, order)
     ]
-    graph = _build_edges(pts, passage_params, passage_crossing, crossings)
-    d = KnotDiagram(c, crossings, graph, passage_params, passage_crossing, [r[4] for r in raw])
-    return d.relabelled(p1 % 2 == 0 or p1 % 2 == p2 % 2 for p1, p2 in passages)
+    first = [rank[x][0] == p for p, x in enumerate(owner)]
+    graph = _build_edges(pts, params, owner, first, point, [0 if fo else 1 for fo in first_over])
+    return KnotDiagram(c, crossings, graph, params, owner, [(i[k], j[k]) for k in order])
 
 
-def _build_edges(pts, passage_params, passage_crossing, crossings) -> DiagramGraph:
-    """The map of the curve with every first passage over: the edge after
-    passage j runs from the out slot of its strand to the in slot of
-    passage j + 1's strand, and strand 0 is a crossing's first passage."""
-    n = len(pts)
+def _build_edges(pts, params, owner, first, positions, over_strand) -> DiagramGraph:
+    """The map of the curve: the edge after passage k runs from the out
+    slot of its strand to the in slot of passage k + 1's strand, and
+    strand 0 is a crossing's first passage (`first`).  Every edge's
+    samples, those strictly between its two passages, come from one
+    index array, and so do the polylines: the start crossing, the
+    samples not within 1e-12 of either end crossing, and the end
+    crossing."""
+    n, m = len(pts), len(params)
+    g = DiagramGraph(len(positions), over_strand)
+    if not m:
+        return g
     h = TWO_PI / n
-    m = len(passage_params)
-    g = DiagramGraph(len(crossings), [0] * len(crossings))
-    in_slot = [0 if crossings[ci].passages[0] == j else 2 for j, ci in enumerate(passage_crossing)]
-    for j in range(m):
-        t0 = passage_params[j]
-        t1 = passage_params[(j + 1) % m]
-        c0, c1 = passage_crossing[j], passage_crossing[(j + 1) % m]
-        p0 = crossings[c0].position
-        p1 = crossings[c1].position
-        if j + 1 < m:
-            ks = np.arange(int(np.floor(t0 / h)) + 1, int(np.ceil(t1 / h)))
-        else:
-            ks = np.arange(int(np.floor(t0 / h)) + 1, n + int(np.ceil(t1 / h)))
-        mids = pts[ks % n]
-        poly = np.vstack([p0[None, :], mids, p1[None, :]])
-        # drop interior points coincident with the crossing endpoints
-        keep = np.ones(len(poly), dtype=bool)
-        if len(poly) > 2:
-            keep[1:-1] = (np.hypot(*(poly[1:-1] - poly[0]).T) > 1e-12) & (
-                np.hypot(*(poly[1:-1] - poly[-1]).T) > 1e-12
-            )
-        interior = tuple((ks[keep[1:-1]] % n).tolist())
-        g.add_edge((c0, in_slot[j] + 1), (c1, in_slot[(j + 1) % m]), poly[keep], interior)
+    c1 = owner[1:] + owner[:1]
+    lo = [math.floor(s / h) + 1 for s in params]
+    hi = [math.ceil(s / h) for s in params[1:]] + [n + math.ceil(params[0] / h)]
+    runs = [max(b - a, 0) for a, b in zip(lo, hi)]
+    start = list(accumulate(runs, initial=0))
+    ks = (np.arange(start[-1]) + np.repeat([a - s for a, s in zip(lo, start)], runs)) % n
+    ends = np.repeat(positions[owner + c1].reshape(2, m, 2), runs, axis=1)  # each sample's end crossings
+    gap = pts[ks] - ends
+    keep = (np.hypot(gap[..., 0], gap[..., 1]) > 1e-12).all(axis=0)
+    cut = np.concatenate([[0], np.cumsum(keep)])[start].tolist()
+    ks = ks[keep].tolist()
+    idx = []
+    for k in range(m):
+        idx += [n + owner[k], *ks[cut[k]:cut[k + 1]], n + c1[k]]
+    polylines = np.vstack([pts, positions])[idx]
+    in_slot = [0 if f else 2 for f in first]
+    for k in range(m):
+        stop = cut[k + 1] + 2 * k + 2
+        g.add_edge((owner[k], in_slot[k] + 1), (c1[k], in_slot[(k + 1) % m]),
+                   polylines[cut[k] + 2 * k:stop], tuple(ks[cut[k]:cut[k + 1]]))
     return g
 
 
@@ -363,15 +430,20 @@ def enumerate_cycles_graph(
 
     DFS anchored at the minimal edge id of each cycle; the anchor is
     traversed in its stored orientation, so every cycle is produced
-    exactly once.  At a turn the path arrives on one strand and leaves on
-    the other, so exactly one of the two is over: an arc is alternated
-    when the turns at its two ends are left on the same level, and a
-    cycle when all its turns are.  The search carries the turn count,
-    the set of levels its turns were left on (bit 1: over, bit 0: under)
-    and the crossings it used (a bitmask, tested before it descends);
-    arc_cap prunes on the running turn count.  It also carries the sums
-    of `_walk_area`, added in the same order, so a cycle's area is that
-    function's value bit for bit without a second walk.
+    exactly once.  The anchors run in descending order, and each anchor's
+    darts join the step tables after its own search, so the tables hold
+    exactly the edges above the current anchor.  A path closes only
+    through a crossing joined to home by such an edge, so the search
+    stops descending once all of those are used.  At a turn the path
+    arrives on one strand and leaves on the other, so exactly one of the
+    two is over: an arc is alternated when the turns at its two ends are
+    left on the same level, and a cycle when all its turns are.  The
+    search carries the turn count, the set of levels its turns were left
+    on (bit 1: over, bit 0: under) and the crossings it used (a bitmask,
+    tested before it descends); arc_cap prunes on the running turn count.
+    It also carries the sums of `_walk_area`, added in the same order, so
+    a cycle's area is that function's value bit for bit without a second
+    walk.
     """
     allowed = set(range(len(g.edges))) if edge_subset is None else set(edge_subset)
     over, lobes = g.over_strand, g.lobes
@@ -382,30 +454,22 @@ def enumerate_cycles_graph(
             return 0, 0
         return 1, 1 << (over[c] == _SLOT_STRAND[s_out])
 
-    # steps[c][s_in]: the darts out of crossing c entered by slot s_in, in
-    # slot_edge order: (edge, forward?, next crossing, its slot, turns
-    # added, level bit, signed lobe, arrival point)
+    # steps[c][s_in]: the darts out of crossing c entered by slot s_in, of
+    # the edges above the anchor: (edge, forward?, next crossing, its slot,
+    # turns added, level bit, signed lobe, arrival point); joined[c]: the
+    # crossings those edges join to c, as a bitmask
     steps = [[[] for _ in range(4)] for _ in range(g.n_crossings)]
-    for c, slots in enumerate(g.slot_edge):
-        for s_out, eid in slots.items():
-            e0, e1, _, _ = g.edges[eid]
-            if eid in allowed and e0 is not None and e1 is not None:
-                fwd = (c, s_out) == e0
-                lobe, first, last = lobes[eid]
-                dart = (eid, fwd, *(e1 if fwd else e0))
-                for s_in in slots:
-                    if s_in != s_out:
-                        steps[c][s_in].append((*dart, *passing(c, s_in, s_out), lobe if fwd else -lobe,
-                                               *(last if fwd else first)))
+    joined = [0] * g.n_crossings
     cap = g.n_crossings if arc_cap is None else arc_cap  # a path turns at most once per crossing
     found: list[DiagramCycle] = []
 
-    for anchor in sorted(allowed):
+    for anchor in sorted(allowed, reverse=True):
         end0, end1, _, _ = g.edges[anchor]
         if end0 is None or end1 is None:
             continue
         c_home, s_home = end0
         home = [passing(c_home, s_in, s_home) for s_in in range(4)]
+        exits = joined[c_home] & ~(1 << c_home)
         lobe, (x0, y0), (x, y) = lobes[anchor]
         eids, fwds = [anchor], [True]
 
@@ -422,8 +486,9 @@ def enumerate_cycles_graph(
                 raise CycleExplosionError(f"cycle explosion: more than {max_cycles} cycles", len(found))
 
         def dfs(c, s_in, turns, levels, total, corner, px, py, used):
+            live = exits & ~used  # the unused crossings next to home: a path closes only through one
             for eid, fwd, c_next, s_next, t, bit, lobe, x, y in steps[c][s_in]:
-                if eid <= anchor or used >> c_next & 1 or turns + t > cap:
+                if used >> c_next & 1 or turns + t > cap or not (live or c_next == c_home):
                     continue
                 x, y = x - x0, y - y0
                 eids.append(eid)
@@ -439,8 +504,19 @@ def enumerate_cycles_graph(
         # the anchor adds its lobe and no corner
         if end1[0] == c_home:
             close(end1[1], 0, 0, lobe, 0.0)
-        else:
+        elif exits:
             dfs(*end1, 0, 0, lobe, 0.0, x - x0, y - y0, 1 << end1[0])
+
+        # the anchor's darts join the tables for the anchors below it
+        lobe, first, last = lobes[anchor]
+        for (c, s_out), fwd in ((end0, True), (end1, False)):
+            dart = (anchor, fwd, *(end1 if fwd else end0))
+            for s_in in g.slot_edge[c]:
+                if s_in != s_out:
+                    steps[c][s_in].append((*dart, *passing(c, s_in, s_out), lobe if fwd else -lobe,
+                                           *(last if fwd else first)))
+        joined[end0[0]] |= 1 << end1[0]
+        joined[end1[0]] |= 1 << end0[0]
 
     found.sort(key=lambda cy: (cy.n_arcs, cy.key))
     return found
@@ -549,19 +625,20 @@ def gamma_bound(n_crossings: int) -> float:
 
 
 def _rotations(g: DiagramGraph):
-    """CCW cyclic slot order at each crossing, from edge departure angles."""
-    rot = []
-    for c in range(g.n_crossings):
-        entries = []
-        for s, eid in g.slot_edge[c].items():
-            e0, e1, pts, _ = g.edges[eid]
-            if e0 == (c, s):
-                v = pts[1] - pts[0]
-            else:
-                v = pts[-2] - pts[-1]
-            entries.append((float(np.arctan2(v[1], v[0])), s))
-        entries.sort()
-        rot.append([s for _, s in entries])
+    """CCW cyclic slot order at each crossing, from edge departure angles,
+    all taken in one arctan2 call."""
+    at, slots, tips, roots = [], [], [], []
+    for c, wiring in enumerate(g.slot_edge):
+        for s, eid in wiring.items():
+            e0, _, pts, _ = g.edges[eid]
+            at.append(c)
+            slots.append(s)
+            tips.append(pts[1] if e0 == (c, s) else pts[-2])
+            roots.append(pts[0] if e0 == (c, s) else pts[-1])
+    v = np.array(tips).reshape(-1, 2) - np.array(roots).reshape(-1, 2)
+    rot = [[] for _ in range(g.n_crossings)]
+    for k in np.lexsort((slots, np.arctan2(v[:, 1], v[:, 0]), at)).tolist():
+        rot[at[k]].append(slots[k])
     return rot
 
 

@@ -4,8 +4,19 @@ import hypothesis
 import numpy as np
 import pytest
 
-from flatknot.diagram import DEFAULT_CYCLE_LIMIT, DiagramCycle, DiagramGraph, signed_area
-from flatknot.errors import CycleExplosionError
+from flatknot.curve import TWO_PI
+from flatknot.diagram import (
+    _ANGLE_TOL,
+    _POSITION_TOL,
+    DEFAULT_CYCLE_LIMIT,
+    Crossing,
+    DiagramCycle,
+    DiagramGraph,
+    KnotDiagram,
+    _segment_intersections,
+    signed_area,
+)
+from flatknot.errors import CodimensionOneError, CycleExplosionError
 
 hypothesis.settings.register_profile(
     "default", max_examples=40, deadline=None, derandomize=True
@@ -328,3 +339,114 @@ def enumerate_cycles_graph_oracle(
 
     found.sort(key=lambda cy: (cy.n_arcs, cy.key))
     return found
+
+
+# ---------------------------------------------------------------------------
+# detection with Python loops over the hits and the passages: the oracle of
+# diagram.detect_crossings, diagram._build_edges and diagram._rotations
+# ---------------------------------------------------------------------------
+
+
+def detect_crossings_oracle(c):
+    """Oracle of diagram.detect_crossings: the hit post-processing, the
+    concurrency and tangency checks and the edge table as they were
+    before the array passes, kept verbatim.  The hits come from
+    diagram._segment_intersections, whose oracle is the all-pairs scan in
+    test_diagram.py; the degenerate contacts through a vertex and the
+    collinear overlaps, which this oracle does not check, are tested on
+    their own.
+
+    Build the knot diagram of a closed polyline in general position.
+
+    Overpasses alternate along the strand, falling back to first passage
+    over where the two passage parities coincide; `KnotDiagram.relabelled`
+    sets any other over/under data on the same geometry.
+    """
+    pts = c.points
+    n = c.n
+    *arrays, _ = _segment_intersections(pts)
+    hits = [(int(i), int(j), float(t), float(u), point.copy(), float(ang)) for i, j, t, u, point, ang in zip(*arrays)]
+    for k in range(len(hits)):
+        for l in range(k + 1, len(hits)):
+            if np.hypot(*(hits[k][4] - hits[l][4])) < _POSITION_TOL:
+                raise CodimensionOneError(
+                    "codimension-one configuration: concurrent crossings",
+                    location=hits[k][4],
+                )
+    for i, j, t, u, point, ang in hits:
+        if min(ang, np.pi - ang) <= _ANGLE_TOL:
+            raise CodimensionOneError(
+                "codimension-one configuration: tangential intersection",
+                location=point,
+            )
+
+    # passage parameters in grid units of the normalized parameter
+    h = TWO_PI / n
+    raw = []
+    for i, j, t, u, point, ang in hits:
+        raw.append(((i + t) * h, (j + u) * h, point, ang, (i, j)))
+    raw.sort(key=lambda r: min(r[0], r[1]))
+    # assign passage indices by sorting all 2n parameters
+    all_params = sorted((s, ci) for ci, rec in enumerate(raw) for s in rec[:2])
+    passage_params = [p for p, _ in all_params]
+    passage_crossing = [ci for _, ci in all_params]
+    passages = [[] for _ in raw]  # per crossing: (first, second) passage index
+    for pi, ci in enumerate(passage_crossing):
+        passages[ci].append(pi)
+
+    crossings = [
+        Crossing(np.asarray(point), p1, p2, ang)
+        for (_, _, point, ang, _), (p1, p2) in zip(raw, passages)
+    ]
+    graph = build_edges_oracle(pts, passage_params, passage_crossing, crossings)
+    d = KnotDiagram(c, crossings, graph, passage_params, passage_crossing, [r[4] for r in raw])
+    return d.relabelled(p1 % 2 == 0 or p1 % 2 == p2 % 2 for p1, p2 in passages)
+
+
+def build_edges_oracle(pts, passage_params, passage_crossing, crossings) -> DiagramGraph:
+    """The map of the curve with every first passage over: the edge after
+    passage j runs from the out slot of its strand to the in slot of
+    passage j + 1's strand, and strand 0 is a crossing's first passage."""
+    n = len(pts)
+    h = TWO_PI / n
+    m = len(passage_params)
+    g = DiagramGraph(len(crossings), [0] * len(crossings))
+    in_slot = [0 if crossings[ci].passages[0] == j else 2 for j, ci in enumerate(passage_crossing)]
+    for j in range(m):
+        t0 = passage_params[j]
+        t1 = passage_params[(j + 1) % m]
+        c0, c1 = passage_crossing[j], passage_crossing[(j + 1) % m]
+        p0 = crossings[c0].position
+        p1 = crossings[c1].position
+        if j + 1 < m:
+            ks = np.arange(int(np.floor(t0 / h)) + 1, int(np.ceil(t1 / h)))
+        else:
+            ks = np.arange(int(np.floor(t0 / h)) + 1, n + int(np.ceil(t1 / h)))
+        mids = pts[ks % n]
+        poly = np.vstack([p0[None, :], mids, p1[None, :]])
+        # drop interior points coincident with the crossing endpoints
+        keep = np.ones(len(poly), dtype=bool)
+        if len(poly) > 2:
+            keep[1:-1] = (np.hypot(*(poly[1:-1] - poly[0]).T) > 1e-12) & (
+                np.hypot(*(poly[1:-1] - poly[-1]).T) > 1e-12
+            )
+        interior = tuple((ks[keep[1:-1]] % n).tolist())
+        g.add_edge((c0, in_slot[j] + 1), (c1, in_slot[(j + 1) % m]), poly[keep], interior)
+    return g
+
+
+def rotations_oracle(g: DiagramGraph):
+    """CCW cyclic slot order at each crossing, from edge departure angles."""
+    rot = []
+    for c in range(g.n_crossings):
+        entries = []
+        for s, eid in g.slot_edge[c].items():
+            e0, e1, pts, _ = g.edges[eid]
+            if e0 == (c, s):
+                v = pts[1] - pts[0]
+            else:
+                v = pts[-2] - pts[-1]
+            entries.append((float(np.arctan2(v[1], v[0])), s))
+        entries.sort()
+        rot.append([s for _, s in entries])
+    return rot

@@ -101,6 +101,21 @@ class TestEnergyCmd:
         assert main(["energy", str(path), "--family", "RE"]) == 3
         assert "zero-area" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("poly,cuts,message", [
+        # a vertex touching a segment without crossing it, each edge cut in 4 (28 points)
+        ([(0, 0), (4, 0), (4, 3), (3, 3), (2, 0), (1, 3), (0, 3)], 4, "touch without crossing"),
+        # a segment lying back along another
+        ([(0, 0), (4, 0), (4, 2), (3, 2), (3, 0), (1, 0), (1, -1), (0, -1)], 1, "collinear overlap"),
+    ])
+    def test_degenerate_contact_is_singular(self, tmp_path, capsys, poly, cuts, message):
+        p = np.asarray(poly, dtype=float)
+        s = np.arange(cuts)[None, :, None] / cuts
+        points = (p[:, None] + s * (np.roll(p, -1, axis=0) - p)[:, None]).reshape(-1, 2)
+        path = tmp_path / "contact.json"
+        dump_json({"points": points.tolist(), "length": 1.0}, path)
+        assert main(["energy", str(path), "--family", "RE"]) == 3
+        assert message in capsys.readouterr().err
+
     def test_cycle_limit_is_explosion(self, trefoil_json, capsys, monkeypatch):
         from flatknot import diagram
 

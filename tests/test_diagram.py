@@ -31,7 +31,7 @@ from flatknot.fixtures import (
 )
 from flatknot.lattice import woven_fragment
 
-from conftest import cycle_vertex_ids, enumerate_cycles_graph_oracle
+from conftest import cycle_vertex_ids, detect_crossings_oracle, enumerate_cycles_graph_oracle, rotations_oracle
 
 TWO_PI = 2 * np.pi
 
@@ -203,6 +203,24 @@ def tiny_loop_far_out():
     return detect_crossings(ClosedCurve(c.points + [1e3, -2e3], c.length))
 
 
+def triple_point_curve():
+    """Three straight strands through the origin, joined far away."""
+    angles = [0, np.pi / 3, 2 * np.pi / 3]
+    pieces = []
+    R = 4.0
+    for i, th in enumerate(angles):
+        u = np.array([np.cos(th), np.sin(th)])
+        pieces.append(np.linspace(-R * u, R * u, 41))
+        joint_from = R * u
+        joint_to = -R * np.array(
+            [np.cos(angles[(i + 1) % 3]), np.sin(angles[(i + 1) % 3])]
+        )
+        mid = 2.2 * R * (joint_from + joint_to) / np.linalg.norm(joint_from + joint_to)
+        arc = np.array([joint_from * 0.98 + 0.2 * mid, mid, joint_to * 0.98 + 0.2 * mid])
+        pieces.append(arc)
+    return ClosedCurve(np.vstack(pieces), 1.0)
+
+
 def walk_polyline(g, walk):
     """Oracle: the closed polyline of a walk of darts (edge id, forward?),
     each edge's points stacked in traversal order without its last point."""
@@ -235,23 +253,8 @@ class TestDetect:
             assert np.hypot(*(e.points[-1] - end)) < 1e-9
 
     def test_triple_point_rejected(self):
-        # three straight strands through the origin, joined far away
-        angles = [0, np.pi / 3, 2 * np.pi / 3]
-        pieces = []
-        R = 4.0
-        for i, th in enumerate(angles):
-            u = np.array([np.cos(th), np.sin(th)])
-            pieces.append(np.linspace(-R * u, R * u, 41))
-            joint_from = R * u
-            joint_to = -R * np.array(
-                [np.cos(angles[(i + 1) % 3]), np.sin(angles[(i + 1) % 3])]
-            )
-            mid = 2.2 * R * (joint_from + joint_to) / np.linalg.norm(joint_from + joint_to)
-            arc = np.array([joint_from * 0.98 + 0.2 * mid, mid, joint_to * 0.98 + 0.2 * mid])
-            pieces.append(arc)
-        pts = np.vstack(pieces)
         with pytest.raises(CodimensionOneError):
-            detect_crossings(ClosedCurve(pts, 1.0))
+            detect_crossings(triple_point_curve())
 
     def test_alternating_rule(self, trefoil_diagram):
         for c in trefoil_diagram.crossings:
@@ -279,14 +282,23 @@ class TestDetect:
 def hit_bytes(hits):
     """A detector's hits as bytes, so equality is bitwise and ordered."""
     f = lambda x: np.float64(x).tobytes()
-    return [(i, j, f(t), f(u), point.tobytes(), f(ang)) for i, j, t, u, point, ang in hits]
+    return [(int(i), int(j), f(t), f(u), point.tobytes(), f(ang)) for i, j, t, u, point, ang in hits]
 
 
 def assert_sweep_matches_all_pairs(pts):
+    """The sweep's hits, one (i, j, t, u, point, angle) tuple each, checked
+    bit for bit against the all-pairs scan."""
     pts = np.asarray(pts, dtype=float)
-    got = _segment_intersections(pts)
+    *arrays, _ = _segment_intersections(pts)
+    got = list(zip(*arrays))
     assert hit_bytes(got) == hit_bytes(all_pairs_intersections(pts))
     return got
+
+
+# a vertex that touches a segment without crossing it, and a segment lying
+# along another, in the opposite direction
+VERTEX_TOUCH = [(0, 0), (4, 0), (4, 3), (3, 3), (2, 0), (1, 3), (0, 3)]
+COLLINEAR_OVERLAP = [(0, 0), (4, 0), (4, 2), (3, 2), (3, 0), (1, 0), (1, -1), (0, -1)]
 
 
 lattice_points = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -318,6 +330,142 @@ class TestSweepMatchesAllPairs:
 
     def test_trefoil_4096(self):
         assert len(assert_sweep_matches_all_pairs(trefoil_curve(4096).points)) == 3
+
+    @pytest.mark.parametrize("pts", [VERTEX_TOUCH, COLLINEAR_OVERLAP])
+    def test_degenerate_contacts(self, pts):
+        # detection rejects both, but the sweep still finds the all-pairs hit
+        assert len(assert_sweep_matches_all_pairs(pts)) == 1
+
+
+def detection_record(d):
+    """Every field detection sets, floats as their bits."""
+    f = lambda x: np.asarray(x, dtype=float).tobytes()
+    return (
+        [(f(c.position), c.over_passage, c.under_passage, f(c.transversality_angle)) for c in d.crossings],
+        f(d.passage_params),
+        list(d.passage_crossing),
+        [tuple(seg) for seg in d.crossing_segments],
+        list(d.graph.over_strand),
+        [(e.end0, e.end1, f(e.points), e.interior_indices) for e in d.graph.edges],
+    )
+
+
+def detected_or_error(detect, c):
+    """The detection record, or the type and location of the error raised."""
+    try:
+        return detection_record(detect(c))
+    except CodimensionOneError as exc:
+        return type(exc), np.asarray(exc.location, dtype=float).tobytes()
+
+
+def subdivided(poly, k):
+    """A closed polygon with each edge cut into k equal pieces."""
+    p = np.asarray(poly, dtype=float)
+    q = np.roll(p, -1, axis=0)
+    s = np.arange(k)[None, :, None] / k
+    return (p[:, None] + s * (q - p)[:, None]).reshape(-1, 2)
+
+
+def flow_curves(monkeypatch):
+    """Every curve the two benchmark flows detect at seed 1: iterates and
+    line-search candidates."""
+    from flatknot import flow
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+    try:
+        from workloads import RelaxEight, RelaxReTrefoil
+    finally:
+        sys.path.pop(0)
+    curves = []
+    detect = flow.detect_crossings
+    monkeypatch.setattr(flow, "detect_crossings", lambda c: curves.append(c) or detect(c))
+    for w in (RelaxEight(1), RelaxReTrefoil(1)):
+        flow.relax(w.make_input(), w.cfg)
+    return curves
+
+
+class TestDetectionMatchesOracle:
+    """Detection against the post-processing, checks and edge table it
+    replaced (conftest), which loop over hits and passages in Python:
+    every field bit for bit, and the same error at the same location."""
+
+    def test_census_pools(self, census_pools):
+        for d in census_pools:
+            assert detected_or_error(detect_crossings, d.curve) == detected_or_error(detect_crossings_oracle, d.curve)
+
+    def test_random_immersed_curves(self):
+        for c, _ in random_immersed_curves(300, seed=41, n=256):
+            assert detected_or_error(detect_crossings, c) == detected_or_error(detect_crossings_oracle, c)
+
+    def test_flow_iterates_and_candidates(self, monkeypatch):
+        curves = flow_curves(monkeypatch)
+        assert len(curves) > 178
+        for c in curves:
+            assert detected_or_error(detect_crossings, c) == detected_or_error(detect_crossings_oracle, c)
+
+    def test_degenerate_inputs(self):
+        cases = {
+            "triple point": triple_point_curve().points,
+            # two segments crossing at an angle of about 4e-4
+            "tangential": [(0, 0), (10, 0.002), (10, 0), (0, 0.002)],
+            # two crossings 1e-10 apart
+            "concurrent": [(0, 0), (2, 0), (2, 1), (1, 1), (1, -1), (1 + 1e-10, -1), (1 + 1e-10, 1), (0, 1)],
+        }
+        for name, pts in cases.items():
+            c = ClosedCurve(np.asarray(pts, dtype=float), 1.0)
+            want = detected_or_error(detect_crossings_oracle, c)
+            assert want[0] is CodimensionOneError, name
+            assert detected_or_error(detect_crossings, c) == want, name
+
+    def test_faces_match_oracle_rotations(self, census_pools, monkeypatch):
+        graphs = [g for _, g in oracle_graphs()] + [d.graph for d in census_pools]
+        faces = [diagram_module._walk_faces(g) for g in graphs]
+        monkeypatch.setattr(diagram_module, "_rotations", rotations_oracle)
+        assert faces == [diagram_module._walk_faces(g) for g in graphs]
+
+
+class TestDegenerateContacts:
+    """Contacts that are not transversal crossings raise with a location;
+    a crossing through a vertex where the curve really crosses stays one."""
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_vertex_touch(self, k):
+        with pytest.raises(CodimensionOneError, match="touch without crossing") as err:
+            detect_crossings(ClosedCurve(subdivided(VERTEX_TOUCH, k), 1.0))
+        assert np.array_equal(err.value.location, [2.0, 0.0])
+
+    def test_collinear_overlap(self):
+        with pytest.raises(CodimensionOneError, match="collinear overlap") as err:
+            detect_crossings(ClosedCurve(np.asarray(COLLINEAR_OVERLAP, dtype=float), 1.0))
+        assert np.array_equal(err.value.location, [2.0, 0.0])
+
+    def test_spike_along_a_segment(self):
+        # the second segment folds back along the first, an adjacent pair
+        # the pair search skips; the vertex it ends on meets the first
+        pts = [(0, 0), (4, 0), (2, 0), (2, 1), (-1, 1), (-1, -1), (0, -1)]
+        with pytest.raises(CodimensionOneError, match="collinear overlap at a vertex") as err:
+            detect_crossings(ClosedCurve(np.asarray(pts, dtype=float), 1.0))
+        assert np.array_equal(err.value.location, [2.0, 0.0])
+
+    def test_overlap_of_starts(self):
+        # two segments along the x axis, each starting inside the other:
+        # no hit at either end, so only the parallel pairs show it
+        pts = [(0, 0), (4, 0), (4, 2), (-2, 2), (-2, -1), (3, -1), (3, 0), (-1, 0), (-1, 1), (-3, 1), (-3, -2), (0, -2)]
+        with pytest.raises(CodimensionOneError, match="collinear overlap") as err:
+            detect_crossings(ClosedCurve(np.asarray(pts, dtype=float), 1.0))
+        assert np.array_equal(err.value.location, [1.5, 0.0])
+
+    @pytest.mark.parametrize("pts,want", [
+        # a vertical strand bent at a point of a horizontal segment
+        ([(0, 0), (4, 0), (4, 2), (2, 2), (2, 0), (2, -2), (0, -2)], [(2.0, 0.0)]),
+        # both strands through one vertex each, at the same point
+        ([(0, 0), (2, 1), (2, -1), (0, 0), (-2, 1), (-2, -1)], [(0.0, 0.0)]),
+    ])
+    def test_crossing_through_a_vertex(self, pts, want):
+        c = ClosedCurve(np.asarray(pts, dtype=float), 1.0)
+        d = detect_crossings(c)
+        assert [tuple(cr.position) for cr in d.crossings] == want
+        assert detection_record(d) == detection_record(detect_crossings_oracle(c))
 
 
 class TestEnumerate:
