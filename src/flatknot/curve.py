@@ -80,11 +80,6 @@ class GaussRep:
     def n(self) -> int:
         return len(self.alpha)
 
-    @property
-    def step(self) -> float:
-        """Grid step of the normalized parameter, 2pi/N."""
-        return TWO_PI / self.n
-
     def lift_defect(self) -> float:
         """alpha_end - alpha[0] where alpha_end continues the lift to t = 2pi.
 

@@ -14,9 +14,10 @@ no longer set the step size.  Convergence is still tested on the L^2
 norm of the projected gradient.  Every accepted iterate is re-closed and
 integrated at unit speed, so it has length 2pi, and carries its U_f
 value and its resistance breakdown, whose cycles are the next frozen
-set.  Over/under data is inherited across iterates by spatial matching;
-census changes are classified as R2 / R3 and anything else aborts the
-flow as FORBIDDEN.
+set.  Each line-search candidate's crossings are matched once to the
+current ones; over/under data is inherited along that match, and the
+accepted candidate's census change is judged on it: R2 / R3, or
+FORBIDDEN, which aborts the flow.
 """
 
 from __future__ import annotations
@@ -142,14 +143,15 @@ class _Iterate:
     diagram: KnotDiagram
     u: float
     resistance: EnergyBreakdown
+    match: tuple | None = None  # (pairs, radius): the match that labelled it from its parent
 
     @property
     def total(self) -> float:
         return self.u + self.resistance.total
 
 
-def _measure(g: GaussRep, curve: ClosedCurve, diagram: KnotDiagram, cfg: FlowConfig) -> _Iterate:
-    return _Iterate(g, curve, diagram, energy_uf(g, cfg.functional), resistance_breakdown(diagram, cfg))
+def _measure(g: GaussRep, curve: ClosedCurve, diagram: KnotDiagram, cfg: FlowConfig, match=None) -> _Iterate:
+    return _Iterate(g, curve, diagram, energy_uf(g, cfg.functional), resistance_breakdown(diagram, cfg), match)
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +265,23 @@ def _reclose_alpha(alpha, length):
     return a
 
 
-def _inherited_rule(prev: KnotDiagram, curve: ClosedCurve, radius: float):
+def _inherited_rule(prev: KnotDiagram, curve: ClosedCurve):
     """Detect crossings on `curve`, inheriting over/under from `prev`.
 
-    Matched crossings keep their overpass strand; unmatched new crossings
-    put the earlier passage on top, which is the consistent choice for an
-    R2 pair.
+    The crossings are matched once, with radius 5 times the largest
+    sample displacement from prev's curve (at least 1e-3), and that match
+    is returned with the diagram as (pairs, radius): the event verdict of
+    the step reads the same pairs.  Matched crossings keep their overpass
+    strand; unmatched new crossings put the earlier passage on top, which
+    is the consistent choice for an R2 pair.
     """
     base = detect_crossings(curve)
+    radius = max(5.0 * float(np.max(np.hypot(*(curve.points - prev.curve.points).T))), 1e-3)
+    pairs = _match_crossings(prev, base, radius)
     rule = [True] * base.n_crossings
-    for i, j, flip in _match_crossings(prev, base, radius):
+    for i, j, flip in pairs:
         rule[j] = prev.crossings[i].first_over != flip
-    return base.relabelled(rule)
+    return base.relabelled(rule), (pairs, radius)
 
 
 def _match_crossings(before: KnotDiagram, after: KnotDiagram, radius: float):
@@ -290,7 +297,9 @@ def _match_crossings(before: KnotDiagram, after: KnotDiagram, radius: float):
     the curve by `radius` in the plane slides a crossing of angle theta
     about radius / sin(theta) along each strand; in parameter units (2pi
     per curve length), with the smaller sin(theta) of the two crossings,
-    that is how far apart a matched pair may lie.
+    that is how far apart a matched pair may lie.  The flow takes radius
+    from the step itself, in _inherited_rule; classify_event takes it as
+    given.
     """
     if before.n_crossings == 0 or after.n_crossings == 0:
         return []
@@ -349,7 +358,8 @@ def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
     h <grad, d> = h <grad, P^-1 grad> is positive.  Both sides of the
     Armijo test measure the bending part directly on the angle samples,
     so the comparison is exact; the resistance part is re-detected
-    honestly on each candidate curve.
+    honestly on each candidate curve, whose crossings _inherited_rule
+    matches once, and the accepted iterate carries that match.
     Returns (accepted iterate, accepted step, why each rejected candidate
     failed); each rejection halves the step.  A step below 1e-12 raises
     StalledError carrying the reasons of every candidate tried.
@@ -357,7 +367,6 @@ def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
     g = x.gauss
     d = _h1_direction(g, grad)
     slope = (TWO_PI / g.n) * float(np.dot(grad, d))
-    radius = max(5.0 * step * gradient_norm(g, d), 1e-3)
     s, rejected = step, []
     while s >= _STEP_FLOOR:
         try:
@@ -367,7 +376,8 @@ def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
                 return x, s, tuple(rejected)
             g_s = GaussRep(alpha_s, g.base_point, TWO_PI)
             cand = curve_from_gauss(g_s)
-            y = _measure(g_s, cand, _inherited_rule(x.diagram, cand, radius), cfg)
+            d_s, match = _inherited_rule(x.diagram, cand)
+            y = _measure(g_s, cand, d_s, cfg, match)
             if y.total <= x.total - _ARMIJO * s * slope:
                 return y, s, tuple(rejected)
             rejected.append("armijo")
@@ -434,8 +444,14 @@ def classify_event(before: KnotDiagram, after: KnotDiagram, radius: float = 0.1)
     R3; everything else (including +-1 loop events and crossing-type
     flips) is FORBIDDEN.
     """
+    return _verdict(before, after, _match_crossings(before, after, radius), radius)
+
+
+def _verdict(before: KnotDiagram, after: KnotDiagram, pairs, radius: float) -> FlowEvent | None:
+    """classify_event's verdict on a given match `pairs` of the two
+    diagrams' crossings, made with `radius`.  `relax` passes the match
+    that labelled `after`, so no matched crossing flips there."""
     delta = after.n_crossings - before.n_crossings
-    pairs = _match_crossings(before, after, radius)
     to_after = {i: j for i, j, _ in pairs}
     to_before = {j: i for i, j, _ in pairs}
     gone = [i for i in range(before.n_crossings) if i not in to_after]
@@ -490,8 +506,10 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
     offending state.  The flow ends "converged" when the projected
     gradient norm falls below grad_tol, and "stalled" when the line search
     finds no step (its record lists every rejected candidate) or its step
-    moves nothing; a frozen cycle of zero area ends it with
-    terminated = "singular".
+    moves nothing; a frozen cycle of zero area, or a start curve whose
+    angle lift does not close, ends it with terminated = "singular".  An
+    accepted step's event is judged on the crossing match that labelled
+    its iterate.
     """
     trace = FlowTrace()
     try:
@@ -523,8 +541,7 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
         if y is None:
             break
 
-        disp = float(np.max(np.hypot(*(y.curve.points - x.curve.points).T)))
-        event = classify_event(x.diagram, y.diagram, max(5.0 * disp, 1e-3))
+        event = _verdict(x.diagram, y.diagram, *y.match)
         x, step = y, min(accepted * _STEP_GROWTH, 1.0)
         if event is not None:
             trace.events.append(dataclasses.replace(event, iter=it))

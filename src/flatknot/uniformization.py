@@ -18,20 +18,10 @@ from .curve import GaussRep, ClosedCurve
 _FD_STEP = 1e-5  # fallback step for functional derivatives
 
 
-def _vectorized(f):
-    try:
-        with np.errstate(all="ignore"):
-            out = f(np.array([0.0, 0.5]))
-        if np.shape(out) == (2,):
-            return f
-    except Exception:
-        pass
-    return np.vectorize(f, otypes=[float])
-
-
 @dataclass(frozen=True)
 class EnergyFunctional:
-    """Plug-in functional f with optional analytic derivatives.
+    """Plug-in functional f with optional analytic derivatives, each
+    applied elementwise to numpy arrays.
 
     f(0) must vanish; missing derivatives fall back to central finite
     differences with step 1e-5.
@@ -43,22 +33,15 @@ class EnergyFunctional:
     name: str = "f"
 
     def __post_init__(self):
-        fv = _vectorized(self.f)
-        if abs(float(fv(np.zeros(1))[0] if np.ndim(fv(0.0)) else fv(0.0))) >= 1e-12:
+        f = self.f
+        if abs(float(f(0.0))) >= 1e-12:
             raise ValueError("functional must satisfy f(0) = 0")
-        object.__setattr__(self, "f", fv)
-        fp = self.f_prime
-        if fp is None:
-            fp = lambda x: (fv(x + _FD_STEP) - fv(x - _FD_STEP)) / (2 * _FD_STEP)
-        else:
-            fp = _vectorized(fp)
-        object.__setattr__(self, "f_prime", fp)
-        fpp = self.f_double_prime
-        if fpp is None:
-            fpp = lambda x: (fv(x + _FD_STEP) - 2 * fv(x) + fv(x - _FD_STEP)) / _FD_STEP**2
-        else:
-            fpp = _vectorized(fpp)
-        object.__setattr__(self, "f_double_prime", fpp)
+        if self.f_prime is None:
+            fp = lambda x: (f(x + _FD_STEP) - f(x - _FD_STEP)) / (2 * _FD_STEP)
+            object.__setattr__(self, "f_prime", fp)
+        if self.f_double_prime is None:
+            fpp = lambda x: (f(x + _FD_STEP) - 2 * f(x) + f(x - _FD_STEP)) / _FD_STEP**2
+            object.__setattr__(self, "f_double_prime", fpp)
 
 
 F_X = EnergyFunctional(lambda x: x, lambda x: np.ones_like(x), lambda x: np.zeros_like(x), "x")

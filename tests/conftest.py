@@ -46,6 +46,16 @@ def critical_xi():
     return find_critical_xi(2)
 
 
+@pytest.fixture()
+def out_and_back_polygon():
+    """x = 0, 1, ..., 8, 7, ..., 1 on y = 0: 16 samples, length 16.  Its
+    tangent reverses at both ends, so its angle lift cannot close."""
+    from flatknot.curve import ClosedCurve
+
+    x = np.r_[np.arange(9), np.arange(7, 0, -1)]
+    return ClosedCurve(np.column_stack([x, np.zeros(16)]), 16.0)
+
+
 # ---------------------------------------------------------------------------
 # per-cycle resistance gradient: the oracle of flow._resistance_gradient
 # ---------------------------------------------------------------------------

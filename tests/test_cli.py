@@ -250,6 +250,18 @@ class TestRelaxCmd:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_start_that_cannot_close_exits_singular(self, tmp_path, capsys, out_and_back_polygon):
+        """The angle lift of the out-and-back polygon does not close, so the
+        flow ends singular before its first record."""
+        curve_path = tmp_path / "out_and_back.json"
+        dump_json(curve_to_json(out_and_back_polygon), curve_path)
+        cfg_path = tmp_path / "cfg.json"
+        dump_json({}, cfg_path)
+        outdir = tmp_path / "run"
+        assert main(["relax", str(curve_path), str(cfg_path), str(outdir)]) == 3
+        assert capsys.readouterr().out.startswith("terminated: singular after 0 iterations")
+        assert (outdir / "trace.jsonl").read_text() == ""
+
     def test_stalled_exit(self, tmp_path, capsys, monkeypatch):
         from flatknot import flow
         from flatknot.errors import StalledError

@@ -242,17 +242,44 @@ class TestInheritedRule:
 
         monkeypatch.setattr(flow, "detect_crossings", counted)
         prev = trefoil_diagram.relabelled([True] * 3)
-        d = _inherited_rule(prev, trefoil_diagram.curve, 0.1)
+        d, (pairs, radius) = _inherited_rule(prev, trefoil_diagram.curve)
         assert len(calls) == 1
         assert [c.first_over for c in d.crossings] == [True] * 3
+        # the curve did not move: the radius floor, and each crossing matches itself
+        assert radius == 1e-3 and pairs == [(0, 0, False), (1, 1, False), (2, 2, False)]
+
+    def test_one_match_per_candidate(self, monkeypatch):
+        """Each line-search candidate is matched once, with 5 times its
+        largest sample displacement (at least 1e-3), and the accepted
+        iterate carries that match: relax never matches it again."""
+        matches, rules = [], []
+
+        def match(before, after, radius, _match=flow._match_crossings):
+            matches.append(radius)
+            return _match(before, after, radius)
+
+        def rule(prev, curve, _rule=flow._inherited_rule):
+            d, m = _rule(prev, curve)
+            rules.append((prev, curve, m))
+            return d, m
+
+        monkeypatch.setattr(flow, "_match_crossings", match)
+        monkeypatch.setattr(flow, "_inherited_rule", rule)
+        cfg = FlowConfig(resistance="MRE", delta=0.2, step0=1e-4, grad_tol=1e-4, max_iters=30)
+        tr = relax(trefoil_curve(128), cfg)
+        assert len(tr.records) == cfg.max_iters and len(rules) > cfg.max_iters
+        assert matches == [radius for _, _, (_, radius) in rules]
+        for prev, curve, (_, radius) in rules:
+            disp = np.max(np.hypot(*(curve.points - prev.curve.points).T))
+            assert radius == max(5.0 * disp, 1e-3)
 
     def test_new_pair_from_crossing_free_diagram_is_a_bigon(self):
         """Crossings born from a crossing-free diagram put the earlier
         passage on top, as any unmatched pair does: an R2 bigon with two
         alternated cycles, not an alternating clasp with three."""
         with_bigon, without = bigon_pair()
-        d = _inherited_rule(detect_crossings(without), with_bigon, 1.0)
-        assert [c.first_over for c in d.crossings] == [True, True]
+        d, (pairs, _) = _inherited_rule(detect_crossings(without), with_bigon)
+        assert pairs == [] and [c.first_over for c in d.crossings] == [True, True]
         assert sum(cy.alternated for cy in enumerate_cycles(d)) == 2
 
 
@@ -463,7 +490,70 @@ class TestClassify:
         assert kinds == {None, "R2_appear", "R2_vanish", "R3", "FORBIDDEN"}
 
 
+class TestEventFlows:
+    """Flows that make R2 and R3 moves: random immersed curves (seed 77,
+    N = 256) at delta = 0.2, and the adversarial flow, which ends
+    FORBIDDEN."""
+
+    FLOWS = {
+        "pool2-none": (2, "none", [(18, "R3"), (20, "R2_vanish"), (23, "R2_appear")], "stalled", 52),
+        "pool9-none": (9, "none", [(13, "R3"), (15, "R3"), (16, "FORBIDDEN")], "forbidden_event", 18),
+        "pool1-MRE": (1, "MRE", [(13, "R2_appear"), (20, "R2_vanish"), (23, "R2_vanish")], "max_iters", 150),
+        "adversarial": (None, "none", [(16, "FORBIDDEN")], "forbidden_event", 18),
+    }
+
+    @pytest.mark.parametrize("name", FLOWS)
+    def test_verdicts_match_classify_event(self, name, monkeypatch):
+        """The verdict relax takes from the candidate's own match equals
+        classify_event's, and the string-label classifier's, with the same
+        radius, at every accepted step."""
+        k, resistance, events, terminated, n_records = self.FLOWS[name]
+        if k is None:
+            c0 = limacon_curve(inner=2.0, n=256)
+            cfg = FlowConfig(functional=collapse_functional(), resistance="none", delta=0.05, grad_tol=1e-6)
+        else:
+            c0 = random_immersed_curves(12, seed=77, n=256)[k][0]
+            cfg = FlowConfig(resistance=resistance, delta=0.2, step0=1e-4, grad_tol=1e-4, max_iters=150)
+        steps = []
+
+        def spy(*args, _verdict=flow._verdict):
+            steps.append((*args, _verdict(*args)))
+            return steps[-1][-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(flow, "_verdict", spy)
+            tr = relax(c0, cfg)
+        assert [(ev.iter, ev.kind) for ev in tr.events] == events
+        assert (tr.terminated, len(tr.records)) == (terminated, n_records)
+        assert [v.kind for *_, v in steps if v is not None] == [ev.kind for ev in tr.events]
+        for before, after, _, radius, got in steps:
+            for want in (classify_event(before, after, radius), classify_event_by_labels(before, after, radius)):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert (got.kind, got.crossing_delta) == (want.kind, want.crossing_delta)
+                    assert np.array_equal(got.location, want.location)
+
+
 class TestRelax:
+    def test_start_that_cannot_close_is_singular(self, out_and_back_polygon):
+        """A curve whose angle lift does not close stops before the first
+        iterate: no records, and the final curve is the input."""
+        tr = relax(out_and_back_polygon, FlowConfig())
+        assert tr.terminated == "singular" and tr.records == [] and tr.final_curve is out_and_back_polygon
+
+    def test_start_rescales_to_length_2pi(self):
+        """A flow from a scaled copy of a curve starts from the same
+        iterate, base point included, so its records and final curve are
+        the unscaled flow's up to rounding."""
+        cfg = FlowConfig(resistance="RE", max_iters=3)
+        ref, big = (relax(c, cfg) for c in (trefoil_curve(128), trefoil_curve(128).scaled(3.0)))
+        assert np.max(np.abs(big.final_curve.points - ref.final_curve.points)) <= 1e-12
+        assert len(ref.records) == len(big.records) == 3
+        for a, b in zip(ref.records, big.records):
+            assert (a.iter, a.crossings, a.whitney, a.rejected) == (b.iter, b.crossings, b.whitney, b.rejected)
+            for f in ("u", "r", "gmre", "grad_norm", "step"):
+                assert getattr(b, f) == pytest.approx(getattr(a, f), rel=1e-12, abs=1e-12), f
+
     def test_monotone_and_length(self):
         lengths = []
         cfg = FlowConfig(resistance="MRE", delta=0.05, step0=1e-4, grad_tol=2e-3, max_iters=150)
@@ -512,11 +602,11 @@ class TestRelax:
         errors = iter([CodimensionOneError("triple point"), SingularDiagramError("zero area"),
                        StalledError("open lift")])
 
-        def failing(prev, curve, radius, _rule=flow._inherited_rule):
+        def failing(prev, curve, _rule=flow._inherited_rule):
             err = next(errors, None)
             if err is not None:
                 raise err
-            return _rule(prev, curve, radius)
+            return _rule(prev, curve)
 
         monkeypatch.setattr(flow, "_inherited_rule", failing)
         _, s, rejected = flow._step_from_alpha(x, flow._projected_gradient(x, cfg), cfg, 1.0)
