@@ -49,6 +49,8 @@ _FUNCTIONALS = {"x": F_X, "x^2": F_X2, "x2": F_X2, "x^4": F_X4, "x4": F_X4}
 
 
 def _functional(name: str):
+    if not isinstance(name, str):
+        raise ValueError(f"functional must be a string, not {name!r}")
     if name in _FUNCTIONALS:
         return _FUNCTIONALS[name]
     if name.startswith("|x|^"):
@@ -141,6 +143,8 @@ def cmd_cycles(args) -> int:
 def cmd_relax(args) -> int:
     curve = curve_from_json(load_json(args.curve))
     cfg_obj = load_json(args.config)
+    if not isinstance(cfg_obj, dict):
+        raise ValueError("flow config must be a JSON object")
     unknown = sorted(set(cfg_obj) - {f.name for f in dataclasses.fields(FlowConfig)})
     if unknown:
         raise ValueError(f"unknown flow config keys {unknown}")

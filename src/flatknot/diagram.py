@@ -53,8 +53,8 @@ class Crossing:
 
 
 class Edge(NamedTuple):
-    """Edge of a 4-valent map between two (crossing, slot) ends; an end is
-    None for the dangling strand ends of lattice fragments."""
+    """Edge of a 4-valent map between two (crossing, slot) ends; only the
+    census cycle of a crossing-free diagram, which has no map, has None."""
 
     end0: tuple[int, int] | None
     end1: tuple[int, int] | None
@@ -98,24 +98,26 @@ class DiagramGraph:
     """4-valent map: crossings with 4 slots each, edges joining slots.
 
     `over_strand[c]` names the strand (0 or 1) whose passage is the
-    overpass at crossing c.
+    overpass at crossing c.  `left` is the rotation system: `left[c]` is
+    true when strand 1 leaves crossing c to the left of strand 0, so its
+    slots run 1, 3, 0, 2 counter-clockwise, else 1, 2, 0, 3.  Detection
+    sets it once from each hit's geometry, and the face walk reads it.
     """
 
-    def __init__(self, n_crossings, over_strand):
+    def __init__(self, n_crossings, over_strand, left):
         self.n_crossings = n_crossings
         self.over_strand = list(over_strand)
+        self.left = list(left)
         self.edges: list[Edge] = []
         self.slot_edge: list[dict] = [dict() for _ in range(n_crossings)]
 
     def add_edge(self, end0, end1, points, interior_indices=()) -> int:
         eid = len(self.edges)
         self.edges.append(Edge(end0, end1, np.asarray(points, dtype=float), interior_indices))
-        for end in (end0, end1):
-            if end is not None:
-                c, s = end
-                if s in self.slot_edge[c]:
-                    raise ValueError(f"slot {s} of crossing {c} already wired")
-                self.slot_edge[c][s] = eid
+        for c, s in (end0, end1):
+            if s in self.slot_edge[c]:
+                raise ValueError(f"slot {s} of crossing {c} already wired")
+            self.slot_edge[c][s] = eid
         return eid
 
     @cached_property
@@ -234,7 +236,8 @@ def _collinear_overlaps(a, d, i, j):
 
 def _check_vertex_contacts(pts, i, j, t, u, point):
     """Raise CodimensionOneError at the first hit through a curve vertex
-    where the curve does not cross itself.
+    where the curve does not cross itself; otherwise return, per hit,
+    whether strand j leaves to the left of strand i.
 
     A hit at t = 0 (u = 0) lies on the first vertex of segment i (j), so
     that strand bends there, coming in along the segment before; at any
@@ -243,7 +246,9 @@ def _check_vertex_contacts(pts, i, j, t, u, point):
     its left is the sector swept counter-clockwise from out to back.  The
     strands cross when the two rays of strand j leave strictly on
     opposite sides of strand i; a ray along one of strand i's is a
-    collinear overlap, and two rays on one side a touch.
+    collinear overlap, and two rays on one side a touch.  Where strand i
+    bends, its left is no half-plane, so the segments' cross product can
+    put strand j's outgoing ray on the wrong side; the sector test cannot.
     """
     n = len(pts)
     cross = lambda p, q: p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
@@ -265,6 +270,7 @@ def _check_vertex_contacts(pts, i, j, t, u, point):
     if len(bad):
         what = "collinear overlap" if meet[bad[0]] == 0 else "touch without crossing"
         raise CodimensionOneError(f"codimension-one configuration: {what} at a vertex", location=point[bad[0]])
+    return sides[1] > 0
 
 
 def detect_crossings(c: ClosedCurve) -> "KnotDiagram":
@@ -276,7 +282,8 @@ def detect_crossings(c: ClosedCurve) -> "KnotDiagram":
     over the hits.  Overpasses alternate along the strand, falling back
     to first passage over where the two passage parities coincide;
     `KnotDiagram.relabelled` sets any other over/under data on the same
-    geometry.
+    geometry.  The rotation bit `DiagramGraph.left` is the sign of the
+    segments' cross product, or the side `_check_vertex_contacts` finds.
     """
     pts = c.points
     n = c.n
@@ -297,13 +304,16 @@ def detect_crossings(c: ClosedCurve) -> "KnotDiagram":
         )
     if len(overlap):
         raise CodimensionOneError("codimension-one configuration: collinear overlap", location=overlap[0])
+    ij = np.stack([i, j])
+    di, dj = pts[(ij + 1) % n] - pts[ij]
+    left = di[:, 0] * dj[:, 1] - di[:, 1] * dj[:, 0] > 0  # strand j leaves to the left of strand i
     if not (t * u).all():  # some hit may lie on a vertex
-        _check_vertex_contacts(pts, i, j, t, u, point)
+        left = _check_vertex_contacts(pts, i, j, t, u, point)
 
     # crossings in order of first passage; passage parameters in grid
     # units of the normalized parameter, their indices by sorting all 2m
     h = TWO_PI / n
-    i, j, t, u, angle = (x.tolist() for x in (i, j, t, u, angle))
+    i, j, t, u, angle, left = (x.tolist() for x in (i, j, t, u, angle, left))
     s1 = [(a + b) * h for a, b in zip(i, t)]
     order = sorted(range(m), key=s1.__getitem__)
     passages = sorted((s, x) for x, k in enumerate(order) for s in (s1[k], (j[k] + u[k]) * h))
@@ -318,11 +328,12 @@ def detect_crossings(c: ClosedCurve) -> "KnotDiagram":
         for pos, (p1, p2), fo, k in zip(point, rank, first_over, order)
     ]
     first = [rank[x][0] == p for p, x in enumerate(owner)]
-    graph = _build_edges(pts, params, owner, first, point, [0 if fo else 1 for fo in first_over])
+    graph = _build_edges(pts, params, owner, first, point, [0 if fo else 1 for fo in first_over],
+                         [left[k] for k in order])
     return KnotDiagram(c, crossings, graph, params, owner, [(i[k], j[k]) for k in order])
 
 
-def _build_edges(pts, params, owner, first, positions, over_strand) -> DiagramGraph:
+def _build_edges(pts, params, owner, first, positions, over_strand, left) -> DiagramGraph:
     """The map of the curve: the edge after passage k runs from the out
     slot of its strand to the in slot of passage k + 1's strand, and
     strand 0 is a crossing's first passage (`first`).  Every edge's
@@ -331,7 +342,7 @@ def _build_edges(pts, params, owner, first, positions, over_strand) -> DiagramGr
     samples not within 1e-12 of either end crossing, and the end
     crossing."""
     n, m = len(pts), len(params)
-    g = DiagramGraph(len(positions), over_strand)
+    g = DiagramGraph(len(positions), over_strand, left)
     if not m:
         return g
     h = TWO_PI / n
@@ -385,8 +396,8 @@ class KnotDiagram:
         """The same diagram with new over/under data: one bool per crossing
         in order of first passage, true where the first passage is over.
 
-        The curve, passages, segments and edge table are shared; only the
-        crossing records and `graph.over_strand` are new.
+        The curve, passages, segments, edge table and rotation system are
+        shared; only the crossing records and `graph.over_strand` are new.
         """
         crossings = []
         for cr, fo in zip(self.crossings, first_over, strict=True):
@@ -465,8 +476,6 @@ def enumerate_cycles_graph(
 
     for anchor in sorted(allowed, reverse=True):
         end0, end1, _, _ = g.edges[anchor]
-        if end0 is None or end1 is None:
-            continue
         c_home, s_home = end0
         home = [passing(c_home, s_in, s_home) for s_in in range(4)]
         exits = joined[c_home] & ~(1 << c_home)
@@ -624,22 +633,8 @@ def gamma_bound(n_crossings: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rotations(g: DiagramGraph):
-    """CCW cyclic slot order at each crossing, from edge departure angles,
-    all taken in one arctan2 call."""
-    at, slots, tips, roots = [], [], [], []
-    for c, wiring in enumerate(g.slot_edge):
-        for s, eid in wiring.items():
-            e0, _, pts, _ = g.edges[eid]
-            at.append(c)
-            slots.append(s)
-            tips.append(pts[1] if e0 == (c, s) else pts[-2])
-            roots.append(pts[0] if e0 == (c, s) else pts[-1])
-    v = np.array(tips).reshape(-1, 2) - np.array(roots).reshape(-1, 2)
-    rot = [[] for _ in range(g.n_crossings)]
-    for k in np.lexsort((slots, np.arctan2(v[:, 1], v[:, 0]), at)).tolist():
-        rot[at[k]].append(slots[k])
-    return rot
+# counter-clockwise slot order at a crossing, by `DiagramGraph.left`
+_CCW_SLOTS = {True: (1, 3, 0, 2), False: (1, 2, 0, 3)}
 
 
 def diagram_faces(d: KnotDiagram):
@@ -653,31 +648,24 @@ def diagram_faces(d: KnotDiagram):
 
 
 def _walk_faces(g: DiagramGraph) -> tuple:
-    rot = _rotations(g)
-    darts = set()
-    for eid, (e0, e1, _, _) in enumerate(g.edges):
-        if e0 is not None and e1 is not None:
-            darts.add((eid, True))
-            darts.add((eid, False))
+    """The faces of the map: after each dart comes the dart out of the
+    clockwise-next wired slot in the rotation system `DiagramGraph.left`
+    (only lattice fragments have unwired slots)."""
     faces = []
-    remaining = set(darts)
+    remaining = {(eid, fwd) for eid in range(len(g.edges)) for fwd in (True, False)}
     while remaining:
-        start = min(remaining)
+        start = dart = min(remaining)
         walk = []
-        dart = start
         while True:
             walk.append(dart)
             remaining.discard(dart)
             eid, fwd = dart
-            e0, e1, _, _ = g.edges[eid]
-            c, s_in = e1 if fwd else e0
-            order = rot[c]
-            # next dart departs from the clockwise-next slot after arrival
-            k = order.index(s_in)
-            s_out = order[(k - 1) % len(order)]
-            nid = g.slot_edge[c][s_out]
-            n0, _, _, _ = g.edges[nid]
-            dart = (nid, (c, s_out) == n0)
+            c, s = g.edges[eid][fwd]  # the arrival end
+            ccw, wired = _CCW_SLOTS[g.left[c]], g.slot_edge[c]
+            k = ccw.index(s)
+            s = next(ccw[k - r] for r in (1, 2, 3) if ccw[k - r] in wired)
+            nid = wired[s]
+            dart = (nid, (c, s) == g.edges[nid].end0)
             if dart == start:
                 break
         faces.append((frozenset(eid for eid, _ in walk), _walk_area(g, walk), tuple(walk)))

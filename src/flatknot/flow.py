@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+from numbers import Real
 
 import numpy as np
 
@@ -61,9 +62,12 @@ class FlowConfig:
     def __post_init__(self):
         if self.resistance not in RESISTANCE_FAMILIES:
             raise ValueError(f"resistance must be one of {RESISTANCE_FAMILIES}")
-        if self.step0 <= 0 or self.grad_tol <= 0:
+        for name in ("delta", "step0", "grad_tol"):
+            if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), Real):
+                raise ValueError(f"{name} must be a real number")
+        if not (self.step0 > 0 and self.grad_tol > 0):  # NaN fails too
             raise ValueError("step0 and grad_tol must be positive")
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
         # the GMRE monitor reads delta under every resistance
         if not self.delta > 0:

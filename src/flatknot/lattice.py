@@ -131,13 +131,14 @@ def woven_fragment(strands: int) -> DiagramGraph:
     coordinate parity (row + column) is even.
 
     Crossing (i, j) sits at (j, i); strand 0 of each crossing is the
-    horizontal one.  Boundary stubs are left dangling.
+    horizontal one, and strand 1 leaves upward, to its left.  Boundary
+    stubs are unwired slots.
     """
     m = strands
     idx = lambda i, j: i * m + j
     positions = [(j, i) for i in range(m) for j in range(m)]
     over = [0 if (i + j) % 2 == 0 else 1 for i in range(m) for j in range(m)]
-    g = DiagramGraph(m * m, over)
+    g = DiagramGraph(m * m, over, [True] * (m * m))
     # horizontal strand at crossing: slots 0 (in, from the left) / 1 (out, to the right)
     # vertical strand: slots 2 (in, from below) / 3 (out, upward)
     for i in range(m):

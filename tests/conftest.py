@@ -352,8 +352,9 @@ def enumerate_cycles_graph_oracle(
 
 
 # ---------------------------------------------------------------------------
-# detection with Python loops over the hits and the passages: the oracle of
-# diagram.detect_crossings, diagram._build_edges and diagram._rotations
+# detection with Python loops over the hits and the passages, and the face
+# walk over an angle sort: the oracles of diagram.detect_crossings,
+# diagram._build_edges and diagram._walk_faces
 # ---------------------------------------------------------------------------
 
 
@@ -416,11 +417,12 @@ def detect_crossings_oracle(c):
 def build_edges_oracle(pts, passage_params, passage_crossing, crossings) -> DiagramGraph:
     """The map of the curve with every first passage over: the edge after
     passage j runs from the out slot of its strand to the in slot of
-    passage j + 1's strand, and strand 0 is a crossing's first passage."""
+    passage j + 1's strand, and strand 0 is a crossing's first passage.
+    The rotation bits come from the angle sort of `rotations_oracle`."""
     n = len(pts)
     h = TWO_PI / n
     m = len(passage_params)
-    g = DiagramGraph(len(crossings), [0] * len(crossings))
+    g = DiagramGraph(len(crossings), [0] * len(crossings), [])
     in_slot = [0 if crossings[ci].passages[0] == j else 2 for j, ci in enumerate(passage_crossing)]
     for j in range(m):
         t0 = passage_params[j]
@@ -442,6 +444,9 @@ def build_edges_oracle(pts, passage_params, passage_crossing, crossings) -> Diag
             )
         interior = tuple((ks[keep[1:-1]] % n).tolist())
         g.add_edge((c0, in_slot[j] + 1), (c1, in_slot[(j + 1) % m]), poly[keep], interior)
+    # strand 1 leaves to the left of strand 0 when slot 3 follows slot 1
+    # counter-clockwise
+    g.left = [rot[(rot.index(1) + 1) % 4] == 3 for rot in rotations_oracle(g)]
     return g
 
 
@@ -460,3 +465,37 @@ def rotations_oracle(g: DiagramGraph):
         entries.sort()
         rot.append([s for _, s in entries])
     return rot
+
+
+def walk_faces_oracle(g: DiagramGraph) -> tuple:
+    """Oracle of diagram._walk_faces: the walk over the angle sort of
+    `rotations_oracle`, as it was before the rotation bits.
+
+    Faces of the planar map as (edge id set, signed area, dart walk)
+    records; each dart is followed by the dart out of the clockwise-next
+    wired slot after its arrival.
+    """
+    rot = rotations_oracle(g)
+    area = _walk_areas(g, range(len(g.edges)))
+    faces = []
+    remaining = {(eid, fwd) for eid in range(len(g.edges)) for fwd in (True, False)}
+    while remaining:
+        start = min(remaining)
+        walk = []
+        dart = start
+        while True:
+            walk.append(dart)
+            remaining.discard(dart)
+            eid, fwd = dart
+            e0, e1, _, _ = g.edges[eid]
+            c, s_in = e1 if fwd else e0
+            order = rot[c]
+            k = order.index(s_in)
+            s_out = order[(k - 1) % len(order)]
+            nid = g.slot_edge[c][s_out]
+            n0, _, _, _ = g.edges[nid]
+            dart = (nid, (c, s_out) == n0)
+            if dart == start:
+                break
+        faces.append((frozenset(eid for eid, _ in walk), area(walk), tuple(walk)))
+    return tuple(faces)

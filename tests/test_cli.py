@@ -238,8 +238,16 @@ class TestRelaxCmd:
             ({"max_iters": "3"}, "max_iters must be an integer >= 1"),
             ({"max_iters": 0}, "max_iters must be an integer >= 1"),
             ({"max_iters": -1}, "max_iters must be an integer >= 1"),
+            (["resistance", "RE"], "flow config must be a JSON object"),
+            ({"delta": "0.1"}, "delta must be a real number"),
+            ({"step0": "1e-4"}, "step0 must be a real number"),
+            ({"grad_tol": True}, "grad_tol must be a real number"),
+            ({"functional": None}, "functional must be a string, not None"),
+            ({"max_iters": True}, "max_iters must be an integer >= 1"),
+            ({"step0": float("nan")}, "step0 and grad_tol must be positive"),
         ],
-        ids=["misspelt-key", "string-iters", "zero-iters", "negative-iters"],
+        ids=["misspelt-key", "string-iters", "zero-iters", "negative-iters", "list-config", "string-delta",
+             "string-step0", "bool-grad-tol", "null-functional", "bool-iters", "nan-step0"],
     )
     def test_bad_config_is_usage_error(self, tmp_path, capsys, cfg, message):
         curve_path = tmp_path / "circle.json"

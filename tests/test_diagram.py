@@ -24,6 +24,7 @@ from flatknot.diagram import (
 )
 from flatknot.errors import CodimensionOneError, CycleExplosionError, SingularDiagramError
 from flatknot.fixtures import (
+    bigon_pair,
     circle_curve,
     limacon_curve,
     random_immersed_curves,
@@ -31,7 +32,7 @@ from flatknot.fixtures import (
 )
 from flatknot.lattice import woven_fragment
 
-from conftest import cycle_vertex_ids, detect_crossings_oracle, enumerate_cycles_graph_oracle, rotations_oracle
+from conftest import cycle_vertex_ids, detect_crossings_oracle, enumerate_cycles_graph_oracle, walk_faces_oracle
 
 TWO_PI = 2 * np.pi
 
@@ -300,6 +301,20 @@ def assert_sweep_matches_all_pairs(pts):
 VERTEX_TOUCH = [(0, 0), (4, 0), (4, 3), (3, 3), (2, 0), (1, 3), (0, 3)]
 COLLINEAR_OVERLAP = [(0, 0), (4, 0), (4, 2), (3, 2), (3, 0), (1, 0), (1, -1), (0, -1)]
 
+# polygons that cross themselves through a vertex, and where they cross
+_DEG100 = np.radians(100)
+VERTEX_CROSSINGS = [
+    # a vertical strand bent at a point of a horizontal segment
+    ([(0, 0), (4, 0), (4, 2), (2, 2), (2, 0), (2, -2), (0, -2)], [(2.0, 0.0)]),
+    # both strands through one vertex each, at the same point
+    ([(0, 0), (2, 1), (2, -1), (0, 0), (-2, 1), (-2, -1)], [(0.0, 0.0)]),
+    # the same, with the first strand bent by 90 degrees: the second strand
+    # leaves at 100 degrees, to the left of the first strand's outgoing
+    # segment but in its right-hand sector, so the segments' cross product
+    # names the wrong side
+    ([(0, 1), (0, 0), (2, 0), (2, 2), (1, 1), (0, 0), (np.cos(_DEG100), np.sin(_DEG100))], [(0.0, 0.0)]),
+]
+
 
 lattice_points = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
@@ -346,6 +361,7 @@ def detection_record(d):
         list(d.passage_crossing),
         [tuple(seg) for seg in d.crossing_segments],
         list(d.graph.over_strand),
+        list(d.graph.left),
         [(e.end0, e.end1, f(e.points), e.interior_indices) for e in d.graph.edges],
     )
 
@@ -417,11 +433,17 @@ class TestDetectionMatchesOracle:
             assert want[0] is CodimensionOneError, name
             assert detected_or_error(detect_crossings, c) == want, name
 
-    def test_faces_match_oracle_rotations(self, census_pools, monkeypatch):
-        graphs = [g for _, g in oracle_graphs()] + [d.graph for d in census_pools]
-        faces = [diagram_module._walk_faces(g) for g in graphs]
-        monkeypatch.setattr(diagram_module, "_rotations", rotations_oracle)
-        assert faces == [diagram_module._walk_faces(g) for g in graphs]
+    def test_faces_match_oracle_rotations(self, census_pools):
+        """The walk over the rotation bits against the walk over the angle
+        sort of the edges' departures (conftest), bit for bit."""
+        graphs = [g for _, g in oracle_graphs()] + [woven_fragment(5)] + [d.graph for d in census_pools]
+        curves = [c for c, _ in random_immersed_curves(300, seed=41, n=256)]
+        curves += [trefoil_curve(n) for n in (128, 256, 512, 1024)] + [limacon_curve(512), *bigon_pair()]
+        curves += [ClosedCurve(np.asarray(pts, dtype=float), 1.0) for pts, _ in VERTEX_CROSSINGS]
+        graphs += [detect_crossings(c).graph for c in curves]
+        assert len(graphs) > 340
+        for g in graphs:
+            assert diagram_module._walk_faces(g) == walk_faces_oracle(g)
 
 
 class TestDegenerateContacts:
@@ -455,12 +477,7 @@ class TestDegenerateContacts:
             detect_crossings(ClosedCurve(np.asarray(pts, dtype=float), 1.0))
         assert np.array_equal(err.value.location, [1.5, 0.0])
 
-    @pytest.mark.parametrize("pts,want", [
-        # a vertical strand bent at a point of a horizontal segment
-        ([(0, 0), (4, 0), (4, 2), (2, 2), (2, 0), (2, -2), (0, -2)], [(2.0, 0.0)]),
-        # both strands through one vertex each, at the same point
-        ([(0, 0), (2, 1), (2, -1), (0, 0), (-2, 1), (-2, -1)], [(0.0, 0.0)]),
-    ])
+    @pytest.mark.parametrize("pts,want", VERTEX_CROSSINGS)
     def test_crossing_through_a_vertex(self, pts, want):
         c = ClosedCurve(np.asarray(pts, dtype=float), 1.0)
         d = detect_crossings(c)
@@ -743,7 +760,7 @@ class TestResistanceEnergies:
         sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         curve = resample_arclength(sq, 64)
         d = detect_crossings(curve)
-        zero = type(d)(ClosedCurve(np.zeros((8, 2)) + np.arange(8)[:, None] * 1e-16, 1.0), [], DiagramGraph(0, []), [], [], [])
+        zero = type(d)(ClosedCurve(np.zeros((8, 2)) + np.arange(8)[:, None] * 1e-16, 1.0), [], DiagramGraph(0, [], []), [], [], [])
         with pytest.raises(SingularDiagramError, match="singular diagram"):
             resistance_energy(zero)
 
@@ -902,8 +919,8 @@ class TestFaces:
     def test_walked_once_per_diagram(self, monkeypatch):
         """diagram_faces, mre and gmre share one walk of the faces."""
         calls = []
-        rotations = diagram_module._rotations
-        monkeypatch.setattr(diagram_module, "_rotations", lambda g: calls.append(g) or rotations(g))
+        walk = diagram_module._walk_faces
+        monkeypatch.setattr(diagram_module, "_walk_faces", lambda g: calls.append(g) or walk(g))
         d = detect_crossings(trefoil_curve(256))
         faces = diagram_faces(d)
         assert mre(d, 1.0).cycles and gmre(d, 1.0).cycles

@@ -446,11 +446,10 @@ class TestClassify:
         ev = classify_event(trefoil_diagram, flipped, radius=0.3)
         assert ev.kind == "FORBIDDEN"
 
-    def test_matches_string_label_oracle(self, trefoil_diagram, monkeypatch):
+    def test_matches_string_label_oracle(self, trefoil_diagram):
         """The integer Gauss words give the verdicts of the string-label
-        classifier bit for bit, on the fixture pairs, on every call of the
-        adversarial flow, and on consecutive and jittered pairs of random
-        immersed curves."""
+        classifier bit for bit, on the fixture pairs and on consecutive and
+        jittered pairs of random immersed curves."""
         with_bigon, without = (detect_crossings(c) for c in bigon_pair())
         flipped = trefoil_diagram.relabelled([not c.first_over for c in trefoil_diagram.crossings])
         cases = [
@@ -462,10 +461,6 @@ class TestClassify:
             (detect_crossings(limacon_curve(n=256)), detect_crossings(circle_curve(256)), 1.0),
             (trefoil_diagram, flipped, 0.3),
         ]
-        # every call of the adversarial flow, which ends FORBIDDEN
-        monkeypatch.setattr(flow, "classify_event", lambda *args: cases.append(args) or classify_event(*args))
-        cfg = FlowConfig(functional=collapse_functional(), resistance="none", delta=0.05, grad_tol=1e-6)
-        relax(limacon_curve(inner=2.0, n=256), cfg)
         pool = random_immersed_curves(40, seed=77, n=200)
         cases += [(a, b, 0.5) for (_, a), (_, b) in zip(pool, pool[1:])]
         rng = np.random.default_rng(5)
