@@ -15,7 +15,6 @@ path, from the turn and over/under bits of the darts it passes through.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,18 +37,12 @@ _SLOT_STRAND = (0, 0, 1, 1)
 
 @dataclass(frozen=True)
 class Crossing:
+    """A crossing's geometry and its (first, second) passage indices; its
+    over/under bit lives in the map, `DiagramGraph.over_strand`."""
+
     position: np.ndarray
-    over_passage: int
-    under_passage: int
+    passages: tuple[int, int]
     transversality_angle: float
-
-    @property
-    def passages(self) -> tuple[int, int]:
-        return tuple(sorted((self.over_passage, self.under_passage)))
-
-    @property
-    def first_over(self) -> bool:
-        return self.over_passage < self.under_passage
 
 
 class Edge(NamedTuple):
@@ -97,11 +90,12 @@ class EnergyBreakdown:
 class DiagramGraph:
     """4-valent map: crossings with 4 slots each, edges joining slots.
 
-    `over_strand[c]` names the strand (0 or 1) whose passage is the
-    overpass at crossing c.  `left` is the rotation system: `left[c]` is
-    true when strand 1 leaves crossing c to the left of strand 0, so its
-    slots run 1, 3, 0, 2 counter-clockwise, else 1, 2, 0, 3.  Detection
-    sets it once from each hit's geometry, and the face walk reads it.
+    `over_strand[c]` names the strand (0 or 1, 0 the first passage) that
+    is over at crossing c: a diagram's one copy of its over/under data.
+    `left` is the rotation system: `left[c]` is true when strand 1 leaves
+    crossing c to the left of strand 0, so its slots run 1, 3, 0, 2
+    counter-clockwise, else 1, 2, 0, 3.  Detection sets both once, and
+    the face walk reads `left`.
     """
 
     def __init__(self, n_crossings, over_strand, left):
@@ -280,10 +274,12 @@ def detect_crossings(c: ClosedCurve) -> "KnotDiagram":
     and contacts through a vertex that do not cross raise
     CodimensionOneError at their location; the checks are array tests
     over the hits.  Overpasses alternate along the strand, falling back
-    to first passage over where the two passage parities coincide;
-    `KnotDiagram.relabelled` sets any other over/under data on the same
-    geometry.  The rotation bit `DiagramGraph.left` is the sign of the
-    segments' cross product, or the side `_check_vertex_contacts` finds.
+    to first passage over where the two passage parities coincide; the
+    bits go to `DiagramGraph.over_strand`, and a `Crossing` keeps only
+    geometry and passages.  `KnotDiagram.relabelled` sets other bits on
+    the same geometry.  The rotation bit `DiagramGraph.left` is the sign
+    of the segments' cross product, or the side `_check_vertex_contacts`
+    finds.
     """
     pts = c.points
     n = c.n
@@ -321,15 +317,11 @@ def detect_crossings(c: ClosedCurve) -> "KnotDiagram":
     rank = [[] for _ in order]  # per crossing: (first, second) passage index
     for p, x in enumerate(owner):
         rank[x].append(p)
-    first_over = [p1 % 2 == 0 or p1 % 2 == p2 % 2 for p1, p2 in rank]
+    over_strand = [0 if p1 % 2 == 0 or p1 % 2 == p2 % 2 else 1 for p1, p2 in rank]
     point = point[order]
-    crossings = [
-        Crossing(pos, *((p1, p2) if fo else (p2, p1)), angle[k])
-        for pos, (p1, p2), fo, k in zip(point, rank, first_over, order)
-    ]
+    crossings = [Crossing(pos, tuple(r), angle[k]) for pos, r, k in zip(point, rank, order)]
     first = [rank[x][0] == p for p, x in enumerate(owner)]
-    graph = _build_edges(pts, params, owner, first, point, [0 if fo else 1 for fo in first_over],
-                         [left[k] for k in order])
+    graph = _build_edges(pts, params, owner, first, point, over_strand, [left[k] for k in order])
     return KnotDiagram(c, crossings, graph, params, owner, [(i[k], j[k]) for k in order])
 
 
@@ -392,26 +384,27 @@ class KnotDiagram:
     def n_crossings(self) -> int:
         return len(self.crossings)
 
-    def relabelled(self, first_over) -> "KnotDiagram":
-        """The same diagram with new over/under data: one bool per crossing
-        in order of first passage, true where the first passage is over.
+    @property
+    def first_over(self) -> list[bool]:
+        """The over/under data, one bool per crossing in order of first
+        passage, true where the first passage is over: a fresh read of
+        `graph.over_strand`."""
+        return [s == 0 for s in self.graph.over_strand]
 
-        The curve, passages, segments, edge table and rotation system are
-        shared; only the crossing records and `graph.over_strand` are new.
-        """
-        crossings = []
-        for cr, fo in zip(self.crossings, first_over, strict=True):
-            p1, p2 = cr.passages
-            over, under = (p1, p2) if fo else (p2, p1)
-            crossings.append(dataclasses.replace(cr, over_passage=over, under_passage=under))
+    def relabelled(self, first_over) -> "KnotDiagram":
+        """The same diagram with new over/under data in the form of
+        `first_over`; ValueError unless there is one bool per crossing.
+        Only `graph.over_strand` is new: the curve, crossing records,
+        passages, segments, edge table, lobes and rotation system are
+        shared."""
         graph = copy.copy(self.graph)
-        graph.over_strand = [0 if cr.first_over else 1 for cr in crossings]
+        graph.over_strand = [0 if fo else 1 for _, fo in zip(self.crossings, first_over, strict=True)]
         return KnotDiagram(
-            self.curve, crossings, graph, self.passage_params, self.passage_crossing, self.crossing_segments
+            self.curve, self.crossings, graph, self.passage_params, self.passage_crossing, self.crossing_segments
         )
 
     def scaled(self, s: float) -> "KnotDiagram":
-        return detect_crossings(self.curve.scaled(s)).relabelled(cr.first_over for cr in self.crossings)
+        return detect_crossings(self.curve.scaled(s)).relabelled(self.first_over)
 
     @cached_property
     def _census(self) -> tuple["DiagramCycle", ...]:

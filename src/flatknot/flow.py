@@ -282,9 +282,9 @@ def _inherited_rule(prev: KnotDiagram, curve: ClosedCurve):
     base = detect_crossings(curve)
     radius = max(5.0 * float(np.max(np.hypot(*(curve.points - prev.curve.points).T))), 1e-3)
     pairs = _match_crossings(prev, base, radius)
-    rule = [True] * base.n_crossings
+    rule, prev_over = [True] * base.n_crossings, prev.first_over
     for i, j, flip in pairs:
-        rule[j] = prev.crossings[i].first_over != flip
+        rule[j] = prev_over[i] != flip
     return base.relabelled(rule), (pairs, radius)
 
 
@@ -346,10 +346,11 @@ def _h1_direction(g: GaussRep, grad: np.ndarray) -> np.ndarray:
 
     Frequency k moves at 1/(1 + k^2) of its L^2 rate, so the stiff high
     modes no longer limit the step, and the iteration count no longer
-    grows fourfold per doubling of N.  The symbol is the continuous one.  The symbol matched to the
-    central-difference curvature, 1 + sin^2(kh)/h^2, falls back to 1 near
-    Nyquist, where that curvature cannot see the checkerboard modes, so
-    it would move them at the full L^2 rate.
+    grows fourfold per doubling of N.  The symbol is the continuous one,
+    not the one matched to the central-difference curvature,
+    1 + sin^2(kh)/h^2, which falls back to 1 near Nyquist, where that
+    curvature cannot see the checkerboard modes, and so would move them
+    at the full L^2 rate.
     """
     return project_closure(g, _precondition(grad))
 
@@ -402,7 +403,7 @@ def _start(c: ClosedCurve, cfg: FlowConfig, diagram: KnotDiagram | None = None) 
     curve = curve_from_gauss(g)
     d = detect_crossings(curve)
     if diagram is not None:
-        d = d.relabelled(cr.first_over for cr in diagram.crossings)
+        d = d.relabelled(diagram.first_over)
     return _measure(g, curve, d, cfg)
 
 
@@ -483,8 +484,9 @@ def _verdict(before: KnotDiagram, after: KnotDiagram, pairs, radius: float) -> F
             return FlowEvent(-1, "R2_vanish", location(gone, before), -2)
     if delta == 0 and not gone and not new:
         # crossing-type flips are forbidden
+        over_b, over_a = before.first_over, after.first_over
         for i, j, flip in pairs:
-            if before.crossings[i].first_over != (after.crossings[j].first_over != flip):
+            if over_b[i] != (over_a[j] != flip):
                 return FlowEvent(-1, "FORBIDDEN", after.crossings[j].position.copy(), 0)
         if same_without(()):
             return None

@@ -1,7 +1,10 @@
 """JSON wire formats.
 
 Curve JSON:    {"points": [[x, y], ...], "length": L}, N >= 8 finite points, finite L > 0
-Diagram JSON:  {"curve": CurveJSON, "crossings": [{"pos": [x, y], "over": i, "under": j}]}
+Diagram JSON:  {"curve": CurveJSON, "crossings": [{"pos": [x, y], "over": i, "under": j}]}: i and j
+               index the over and under passages in the curve's passage order, and
+               must be the passage pair of a crossing that detection finds on the
+               curve; `pos` is not read back.
 Census JSON:   {"counts_by_arcs": {...}, "alternated": k, "total": m}
 Energy report: {"functional": name, "value": v, "gradient_norm": n, "el": {...}}
 Trace lines:   per iterate {"iter", "U", "R", "gmre", "crossings", "whitney"}, plus
@@ -40,13 +43,9 @@ def curve_from_json(obj: dict) -> ClosedCurve:
 
 
 def diagram_to_json(d: KnotDiagram) -> dict:
-    return {
-        "curve": curve_to_json(d.curve),
-        "crossings": [
-            {"pos": c.position.tolist(), "over": c.over_passage, "under": c.under_passage}
-            for c in d.crossings
-        ],
-    }
+    over_under = [c.passages if fo else c.passages[::-1] for c, fo in zip(d.crossings, d.first_over)]
+    crossings = [{"pos": c.position.tolist(), "over": o, "under": u} for c, (o, u) in zip(d.crossings, over_under)]
+    return {"curve": curve_to_json(d.curve), "crossings": crossings}
 
 
 def diagram_from_json(obj: dict) -> KnotDiagram:
@@ -54,17 +53,23 @@ def diagram_from_json(obj: dict) -> KnotDiagram:
     stored over/under choices are replayed onto them; on curve JSON (no
     `crossings` key) they keep detect_crossings' labels.  ValueError
     without a curve, for a crossing record without comparable `over` and
-    `under`, or for a crossing list that does not fit the curve."""
+    `under`, and unless the records' unordered passage pairs are those of
+    the detected crossings, each once."""
     if "crossings" not in obj:
         return detect_crossings(curve_from_json(obj))
     if "curve" not in obj:
         raise ValueError("diagram JSON needs a curve")
     d = detect_crossings(curve_from_json(obj["curve"]))
+    index = {c.passages: k for k, c in enumerate(d.crossings)}
     try:
-        recs = sorted(obj["crossings"], key=lambda r: min(r["over"], r["under"]))
+        pairs = [(r["over"], r["under"]) for r in obj["crossings"]]
+        first_over = {index.get((min(p), max(p))): p[0] < p[1] for p in pairs}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"diagram crossings need over and under passages: {exc!r}") from None
-    return d.relabelled(r["over"] < r["under"] for r in recs) if recs else d
+    if None in first_over or len(first_over) != len(pairs) or len(pairs) != d.n_crossings:
+        raise ValueError(f"diagram crossings (over, under) {pairs} do not fit the curve's passage pairs "
+                         f"{[c.passages for c in d.crossings]}")
+    return d.relabelled(first_over[k] for k in range(d.n_crossings))
 
 
 def census_to_json(cycles) -> dict:

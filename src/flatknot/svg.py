@@ -103,11 +103,10 @@ def diagram_svg(d: KnotDiagram, spec: RenderSpec = RenderSpec()) -> str:
         pts = d.curve.points
         n = pts.shape[0]
         h = 2 * np.pi / n
-        for cr in d.crossings:
-            under_param = d.passage_params[cr.under_passage]
-            over_param = d.passage_params[cr.over_passage]
-            under_idx = int(round(under_param / h)) % n
-            over_idx = int(round(over_param / h)) % n
+        for cr, first_over in zip(d.crossings, d.first_over):
+            over, under = cr.passages if first_over else cr.passages[::-1]
+            under_idx = int(round(d.passage_params[under] / h)) % n
+            over_idx = int(round(d.passage_params[over] / h)) % n
             canvas.polyline(
                 _strand_window(pts, under_idx, 1.8 * gap), color="#ffffff",
                 width=spec.stroke * 3,

@@ -201,7 +201,7 @@ def classify_event_by_labels(before, after, radius: float = 0.1):
     if delta == 0 and not gone and not new:
         # crossing-type flips are forbidden
         for i, j, flip in pairs:
-            if before.crossings[i].first_over != (after.crossings[j].first_over != flip):
+            if before.first_over[i] != (after.first_over[j] != flip):
                 return FlowEvent(
                     -1, "FORBIDDEN", after.crossings[j].position.copy(), 0
                 )
@@ -406,7 +406,7 @@ def detect_crossings_oracle(c):
         passages[ci].append(pi)
 
     crossings = [
-        Crossing(np.asarray(point), p1, p2, ang)
+        Crossing(np.asarray(point), (p1, p2), ang)
         for (_, _, point, ang, _), (p1, p2) in zip(raw, passages)
     ]
     graph = build_edges_oracle(pts, passage_params, passage_crossing, crossings)

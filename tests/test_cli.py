@@ -148,7 +148,7 @@ class TestCyclesCmd:
         assert main(["cycles", "--diagram", str(triple_point_json)]) == 3
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("fit", ["extra", "missing"])
+    @pytest.mark.parametrize("fit", ["extra", "missing", "mismatched"])
     def test_crossing_list_must_fit_curve(self, tmp_path, capsys, fit):
         from flatknot.diagram import detect_crossings
         from flatknot.jsonio import diagram_to_json
@@ -156,8 +156,12 @@ class TestCyclesCmd:
         obj = diagram_to_json(detect_crossings(trefoil_curve(256)))
         if fit == "extra":
             obj["crossings"].append({"pos": [0.0, 0.0], "over": 6, "under": 7})
-        else:
+        elif fit == "missing":
             obj["crossings"].pop()
+        else:
+            # as many records as crossings, but not the curve's passage pairs
+            for rec, (over, under) in zip(obj["crossings"], [(0, 99), (-5, 1), (7, 3)]):
+                rec.update(over=over, under=under)
         path = tmp_path / "trefoil_diagram.json"
         dump_json(obj, path)
         assert main(["cycles", "--diagram", str(path)]) == 2

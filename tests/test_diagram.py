@@ -259,21 +259,28 @@ class TestDetect:
 
     def test_alternating_rule(self, trefoil_diagram):
         for c in trefoil_diagram.crossings:
-            assert {c.over_passage % 2, c.under_passage % 2} == {0, 1}
+            assert {p % 2 for p in c.passages} == {0, 1}
 
     def test_relabelled_own_rule(self, trefoil_diagram):
+        """Relabelling with a diagram's own bits gives the same diagram,
+        sharing everything but the one list of bits."""
         d = trefoil_diagram
-        same = d.relabelled([c.first_over for c in d.crossings])
-        for a, b in zip(d.crossings, same.crossings):
-            assert (a.over_passage, a.under_passage) == (b.over_passage, b.under_passage)
-        assert same.graph.over_strand == d.graph.over_strand
-        assert same.graph.edges is d.graph.edges
+        d.graph.lobes  # computed before the copy, so the copy shares it
+        same = d.relabelled(d.first_over)
+        assert detection_record(same) == detection_record(d)
+        assert same.first_over == d.first_over
+        for name in ("curve", "crossings", "passage_params", "passage_crossing", "crossing_segments"):
+            assert getattr(same, name) is getattr(d, name)
+        for name in ("edges", "lobes", "left", "slot_edge"):
+            assert getattr(same.graph, name) is getattr(d.graph, name)
+        assert same.graph is not d.graph
+        assert same.graph.over_strand is not d.graph.over_strand
 
     def test_relabelled_flips_and_checks_length(self, trefoil_diagram):
         d = trefoil_diagram
-        flipped = d.relabelled([not c.first_over for c in d.crossings])
-        for a, b in zip(d.crossings, flipped.crossings):
-            assert (a.over_passage, a.under_passage) == (b.under_passage, b.over_passage)
+        flipped = d.relabelled([not fo for fo in d.first_over])
+        assert flipped.first_over == [not fo for fo in d.first_over]
+        assert [c.passages for c in flipped.crossings] == [c.passages for c in d.crossings]
         assert flipped.graph.over_strand == [1 - s for s in d.graph.over_strand]
         for rule in ([True] * 2, [True] * 4):
             with pytest.raises(ValueError):
@@ -356,7 +363,7 @@ def detection_record(d):
     """Every field detection sets, floats as their bits."""
     f = lambda x: np.asarray(x, dtype=float).tobytes()
     return (
-        [(f(c.position), c.over_passage, c.under_passage, f(c.transversality_angle)) for c in d.crossings],
+        [(f(c.position), c.passages, f(c.transversality_angle)) for c in d.crossings],
         f(d.passage_params),
         list(d.passage_crossing),
         [tuple(seg) for seg in d.crossing_segments],
@@ -676,7 +683,7 @@ class TestSharedCensus:
     def test_relabelled_searches_afresh(self, searches):
         d = detect_crossings(trefoil_curve(256))
         before = enumerate_cycles(d)
-        flipped = d.relabelled(cr.first_over != (k == 0) for k, cr in enumerate(d.crossings))
+        flipped = d.relabelled(fo != (k == 0) for k, fo in enumerate(d.first_over))
         after = enumerate_cycles(flipped)
         assert len(searches) == 2
         for cy in after:
@@ -717,7 +724,7 @@ class TestSharedCensus:
             deltas = (0.05, 0.2, 1.0, np.inf, cycles[0].area)
             energies = [(mre(d, delta), gmre(d, delta)) for delta in deltas]
             assert len(searches) == 1
-            fresh = d.relabelled(cr.first_over for cr in d.crossings)
+            fresh = d.relabelled(d.first_over)
             assert energies == [(mre(fresh, delta), gmre(fresh, delta)) for delta in deltas]
             assert "_census" not in vars(fresh)
             found += sum(len(bd.cycles) for pair in energies[:2] for bd in pair)

@@ -171,7 +171,7 @@ class TestResistanceGradient:
         the crossings with the same over/under bits and evaluate."""
         g = gauss_from_curve(curve)
         d = detect_crossings(ClosedCurve(trapezoid_points(g.alpha, g.base_point, g.length), g.length))
-        rule = [cr.first_over for cr in d.crossings]
+        rule = d.first_over
         cfgs = [FlowConfig(resistance=fam, delta=0.5) for fam in families]
 
         def resistances(alpha):
@@ -244,7 +244,7 @@ class TestInheritedRule:
         prev = trefoil_diagram.relabelled([True] * 3)
         d, (pairs, radius) = _inherited_rule(prev, trefoil_diagram.curve)
         assert len(calls) == 1
-        assert [c.first_over for c in d.crossings] == [True] * 3
+        assert d.first_over == [True] * 3
         # the curve did not move: the radius floor, and each crossing matches itself
         assert radius == 1e-3 and pairs == [(0, 0, False), (1, 1, False), (2, 2, False)]
 
@@ -279,7 +279,7 @@ class TestInheritedRule:
         alternated cycles, not an alternating clasp with three."""
         with_bigon, without = bigon_pair()
         d, (pairs, _) = _inherited_rule(detect_crossings(without), with_bigon)
-        assert pairs == [] and [c.first_over for c in d.crossings] == [True, True]
+        assert pairs == [] and d.first_over == [True, True]
         assert sum(cy.alternated for cy in enumerate_cycles(d)) == 2
 
 
@@ -441,7 +441,7 @@ class TestClassify:
 
     def test_crossing_flip_forbidden(self, trefoil_diagram):
         flipped = detect_crossings(trefoil_diagram.curve).relabelled(
-            [c.over_passage != min(c.passages) for c in trefoil_diagram.crossings]
+            [not fo for fo in trefoil_diagram.first_over]
         )
         ev = classify_event(trefoil_diagram, flipped, radius=0.3)
         assert ev.kind == "FORBIDDEN"
@@ -451,7 +451,7 @@ class TestClassify:
         classifier bit for bit, on the fixture pairs and on consecutive and
         jittered pairs of random immersed curves."""
         with_bigon, without = (detect_crossings(c) for c in bigon_pair())
-        flipped = trefoil_diagram.relabelled([not c.first_over for c in trefoil_diagram.crossings])
+        flipped = trefoil_diagram.relabelled([not fo for fo in trefoil_diagram.first_over])
         cases = [
             (with_bigon, without, 1.0),
             (without, with_bigon, 1.0),
