@@ -10,6 +10,7 @@ just the plain sample mean times the period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,11 @@ TWO_PI = 2.0 * np.pi
 
 # Resampling targets segment-length ratios within this of 1.
 _SPACING_TOL = 1e-3
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _wrap_to_pi(x):
@@ -66,6 +72,11 @@ class GaussRep:
 
     `length` is the true arclength of the underlying curve (2pi unless the
     curve was rescaled); curvature is d(alpha)/ds = alpha' * 2pi/length.
+
+    A lift takes (cos alpha, sin alpha), the closure basis with its Gram
+    matrix and the discrete curvature once, on first use, and keeps them
+    read-only.  They assume `alpha` and `base_point` never change, so both
+    are read-only views: writing to them raises.
     """
 
     alpha: np.ndarray
@@ -73,12 +84,32 @@ class GaussRep:
     length: float = TWO_PI
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        object.__setattr__(self, "base_point", np.asarray(self.base_point, dtype=float))
+        for name in ("alpha", "base_point"):
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=float).view()))
 
     @property
     def n(self) -> int:
         return len(self.alpha)
+
+    @cached_property
+    def _tangent(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cos alpha, sin alpha)."""
+        return _read_only(np.cos(self.alpha)), _read_only(np.sin(self.alpha))
+
+    @cached_property
+    def _closure(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (N, 2) basis of the closure directions (sin alpha, cos alpha),
+        the gradients of the two closure integrals, and its Gram matrix."""
+        cos, sin = self._tangent
+        basis = _read_only(np.column_stack([sin, cos]))
+        return basis, _read_only(basis.T @ basis)
+
+    @cached_property
+    def _curvature(self) -> np.ndarray:
+        """kappa = d(alpha)/ds by central differences on the periodic lift."""
+        ext = self.lifted_extension()
+        n = self.n
+        return _read_only((ext[n + 1 : 2 * n + 1] - ext[n - 1 : 2 * n - 1]) / (2.0 * (self.length / n)))
 
     def lift_defect(self) -> float:
         """alpha_end - alpha[0] where alpha_end continues the lift to t = 2pi.
@@ -155,15 +186,19 @@ def resample_arclength(points, n: int) -> ClosedCurve:
     return ClosedCurve(out, polyline_length(out))
 
 
+def _tangent_angles(pts: np.ndarray) -> np.ndarray:
+    """The directions of the central-difference tangents, in (-pi, pi]."""
+    tangents = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    return np.arctan2(tangents[:, 1], tangents[:, 0])
+
+
 def gauss_from_curve(c: ClosedCurve) -> GaussRep:
     """Continuous lift of the tangent direction, by central differences."""
-    pts = c.points
-    tangents = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-    raw = np.arctan2(tangents[:, 1], tangents[:, 0])
+    raw = _tangent_angles(c.points)
     # cumulative unwrap: keep increments in (-pi, pi)
     steps = _wrap_to_pi(np.diff(raw))
     alpha = raw[0] + np.concatenate([[0.0], np.cumsum(steps)])
-    return GaussRep(alpha, pts[0].copy(), c.length)
+    return GaussRep(alpha, c.points[0].copy(), c.length)
 
 
 def closure_integrals(alpha, length: float) -> np.ndarray:
@@ -183,10 +218,15 @@ def trapezoid_points(alpha, base, length: float) -> np.ndarray:
     to the first closes exactly when the closure integrals vanish.
     """
     a = np.asarray(alpha, dtype=float)
-    h = length / a.shape[-1]
-    zeros = np.zeros(a.shape[:-1] + (1,))
+    return _integrate_tangent(np.cos(a), np.sin(a), base, length)
+
+
+def _integrate_tangent(cos, sin, base, length: float) -> np.ndarray:
+    """trapezoid_points from the tangent (cos alpha, sin alpha)."""
+    h = length / cos.shape[-1]
+    zeros = np.zeros(cos.shape[:-1] + (1,))
     coords = []
-    for t, b in ((np.cos(a), base[0]), (np.sin(a), base[1])):
+    for t, b in ((cos, base[0]), (sin, base[1])):
         steps = np.cumsum(0.5 * h * (t[..., :-1] + t[..., 1:]), axis=-1)
         coords.append(b + np.concatenate([zeros, steps], axis=-1))
     return np.stack(coords, axis=-1)
@@ -198,11 +238,14 @@ def curve_from_gauss(g: GaussRep) -> ClosedCurve:
     The trapezoid points from the base point miss closing by the closure
     integrals; that gap is spread linearly over the samples.  A gap above
     1e-6 is no rounding residue but an open lift, and raises StalledError.
+    Both read the lift's one (cos alpha, sin alpha).
     """
-    gap = closure_integrals(g.alpha, g.length)
+    cos, sin = g._tangent
+    h = g.length / g.n
+    gap = np.array([h * cos.sum(), h * sin.sum()])  # closure_integrals(g.alpha, g.length)
     if not np.hypot(*gap) <= 1e-6:
         raise StalledError(f"angle lift does not close: gap {np.hypot(*gap):.3e}")
-    pts = trapezoid_points(g.alpha, g.base_point, g.length)
+    pts = _integrate_tangent(cos, sin, g.base_point, g.length)
     return ClosedCurve(pts - np.outer(np.arange(g.n) / g.n, gap), g.length)
 
 
@@ -269,14 +312,19 @@ def align_rigid(points: np.ndarray, target: np.ndarray):
 
 
 def whitney_index(c: ClosedCurve) -> int:
-    """Number of turns of the tangent vector; errors out on cusps."""
-    g = gauss_from_curve(c)
-    inc = np.abs(_wrap_to_pi(np.diff(np.concatenate([g.alpha, g.alpha[:1]]))))
-    bad = np.nonzero(inc >= np.pi / 2)[0]
+    """Number of turns of the tangent vector; errors out on cusps.
+
+    One pass over the central-difference tangent angles: their cyclic
+    increments, wrapped into (-pi, pi], must stay below pi/2 in size, and
+    sum to 2pi times the index.
+    """
+    raw = _tangent_angles(c.points)
+    inc = _wrap_to_pi(np.diff(raw, append=raw[:1]))
+    bad = np.flatnonzero(np.abs(inc) >= np.pi / 2)
     if len(bad):
         raise ValueError(f"curve not regular at sample {int(bad[0])}")
-    defect = g.lift_defect()
-    w = round(defect / TWO_PI)
-    if abs(defect / TWO_PI - w) >= 1e-3:
+    turns = float(inc.sum()) / TWO_PI
+    w = round(turns)
+    if abs(turns - w) >= 1e-3:
         raise ValueError("tangent winding is not close to an integer")
     return int(w)

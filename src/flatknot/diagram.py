@@ -96,6 +96,12 @@ class DiagramGraph:
     crossing c to the left of strand 0, so its slots run 1, 3, 0, 2
     counter-clockwise, else 1, 2, 0, 3.  Detection sets both once, and
     the face walk reads `left`.
+
+    `walks` holds the walks of the map as first found, shared by every
+    graph of the same map (`share_walks`): under "faces" the faces, and
+    under each labelling `tuple(over_strand)` its census.  Only darts,
+    arc counts and alternation are read back from them; each diagram
+    takes the areas on its own lobes.
     """
 
     def __init__(self, n_crossings, over_strand, left):
@@ -104,6 +110,7 @@ class DiagramGraph:
         self.left = list(left)
         self.edges: list[Edge] = []
         self.slot_edge: list[dict] = [dict() for _ in range(n_crossings)]
+        self.walks: dict = {}
 
     def add_edge(self, end0, end1, points, interior_indices=()) -> int:
         eid = len(self.edges)
@@ -121,6 +128,14 @@ class DiagramGraph:
         the map is wired; a `KnotDiagram.relabelled` copy made after that
         shares it."""
         return [(signed_area(e.points), e.points[0].tolist(), e.points[-1].tolist()) for e in self.edges]
+
+    def share_walks(self, other: "DiagramGraph") -> None:
+        """Take `other`'s walks if both graphs are one map: the same
+        rotation system, and every edge between the same two ends."""
+        if self.left == other.left and len(self.edges) == len(other.edges) and all(
+            e[:2] == f[:2] for e, f in zip(self.edges, other.edges)
+        ):
+            self.walks = other.walks
 
 
 def signed_area(points: np.ndarray) -> float:
@@ -395,8 +410,8 @@ class KnotDiagram:
         """The same diagram with new over/under data in the form of
         `first_over`; ValueError unless there is one bool per crossing.
         Only `graph.over_strand` is new: the curve, crossing records,
-        passages, segments, edge table, lobes and rotation system are
-        shared."""
+        passages, segments, edge table, lobes, rotation system and walks
+        are shared; a census is kept per labelling."""
         graph = copy.copy(self.graph)
         graph.over_strand = [0 if fo else 1 for _, fo in zip(self.crossings, first_over, strict=True)]
         return KnotDiagram(
@@ -408,14 +423,36 @@ class KnotDiagram:
 
     @cached_property
     def _census(self) -> tuple["DiagramCycle", ...]:
-        """The cycle census, searched once per instance; new
-        geometry or labels make a new instance."""
-        return tuple(_search(self, DEFAULT_CYCLE_LIMIT))
+        """The cycle census, searched once per map and labelling: another
+        diagram of them takes the cycles' darts, arc counts and
+        alternation from `graph.walks` and only the areas, by
+        `_walk_area`, from its own geometry.  The search sums the areas as
+        `_walk_area` does, so either way gives the same bits."""
+        g = self.graph
+        if not self.n_crossings:
+            return tuple(_search(self, DEFAULT_CYCLE_LIMIT))
+        key = tuple(g.over_strand)
+        known = g.walks.get(key)
+        if known is None:
+            known = g.walks[key] = tuple(_search(self, DEFAULT_CYCLE_LIMIT))
+            return known
+        return tuple(
+            DiagramCycle(cy.edge_ids, cy.orientations, cy.n_arcs, cy.alternated,
+                         abs(_walk_area(g, tuple(zip(cy.edge_ids, cy.orientations)))), g.edges)
+            for cy in known
+        )
 
     @cached_property
     def _faces(self) -> tuple:
-        """The faces of the map, walked once per instance (diagram_faces)."""
-        return _walk_faces(self.graph)
+        """The faces of the map (diagram_faces), walked once per map:
+        another diagram of it takes the walks from `graph.walks` and the
+        areas from its own geometry."""
+        g = self.graph
+        known = g.walks.get("faces")
+        if known is None:
+            known = g.walks["faces"] = _walk_faces(g)
+            return known
+        return tuple((edge_ids, _walk_area(g, walk), walk) for edge_ids, _, walk in known)
 
 
 # ---------------------------------------------------------------------------

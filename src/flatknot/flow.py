@@ -17,7 +17,10 @@ value and its resistance breakdown, whose cycles are the next frozen
 set.  Each line-search candidate's crossings are matched once to the
 current ones; over/under data is inherited along that match, and the
 accepted candidate's census change is judged on it: R2 / R3, or
-FORBIDDEN, which aborts the flow.
+FORBIDDEN, which aborts the flow.  Between those events the map is
+frozen: a candidate with its parent's map shares the parent's census and
+faces and only re-measures their areas, and each iterate's lift takes
+its cos/sin, closure basis and curvature once for every use.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from numbers import Real
 
 import numpy as np
 
-from .curve import (ClosedCurve, GaussRep, TWO_PI, closure_integrals, curve_from_gauss, gauss_from_curve,
-                    trapezoid_points, whitney_index)
+from .curve import (ClosedCurve, GaussRep, TWO_PI, _integrate_tangent, curve_from_gauss, gauss_from_curve,
+                    whitney_index)
 from .diagram import (
     EnergyBreakdown,
     KnotDiagram,
@@ -186,7 +189,8 @@ def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
     n = g.n
     if not bd.cycles:
         return np.zeros(n)
-    pts = trapezoid_points(g.alpha, g.base_point, g.length)
+    cos, sin = g._tangent
+    pts = _integrate_tangent(cos, sin, g.base_point, g.length)
     i, j = np.array(d.crossing_segments, dtype=int).reshape(-1, 2).T
     a, b, c, e = pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]
     d1, d2 = b - a, e - c
@@ -229,7 +233,7 @@ def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
     tail = np.cumsum(gp[::-1], axis=0)[::-1]
     dt = tail - gp
     dt[1:] += tail[1:]
-    return 0.5 * (dt[:, 1] * np.cos(g.alpha) - dt[:, 0] * np.sin(g.alpha))
+    return 0.5 * (dt[:, 1] * cos - dt[:, 0] * sin)
 
 
 def _projected_gradient(x: _Iterate, cfg: FlowConfig) -> np.ndarray:
@@ -247,25 +251,28 @@ def _projected_gradient(x: _Iterate, cfg: FlowConfig) -> np.ndarray:
 
 def _reclose_alpha(alpha, length):
     """Newton-correct alpha along sin/cos directions so both closure
-    integrals vanish (the projected step leaves an O(step^2) drift)."""
+    integrals vanish (the projected step leaves an O(step^2) drift).
+    Each Newton step takes sin and cos of its angles once, for both the
+    closure integrals and the Jacobian."""
     a = alpha.copy()
     s0, c0 = np.sin(alpha), np.cos(alpha)
-    n = len(a)
-    h = length / n
+    s, c = s0, c0
+    h = length / len(a)
     for _ in range(8):
-        f1, f2 = closure_integrals(a, length)
+        f1, f2 = h * c.sum(), h * s.sum()  # closure_integrals(a, length)
         if abs(f1) < 1e-12 * TWO_PI and abs(f2) < 1e-12 * TWO_PI:
             break
-        j11 = -h * np.sum(np.sin(a) * s0)
-        j12 = -h * np.sum(np.sin(a) * c0)
-        j21 = h * np.sum(np.cos(a) * s0)
-        j22 = h * np.sum(np.cos(a) * c0)
+        j11 = -h * np.sum(s * s0)
+        j12 = -h * np.sum(s * c0)
+        j21 = h * np.sum(c * s0)
+        j22 = h * np.sum(c * c0)
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-14:
             break
         da = (j22 * -f1 - j12 * -f2) / det
         db = (j11 * -f2 - j21 * -f1) / det
         a = a + da * s0 + db * c0
+        s, c = np.sin(a), np.cos(a)
     return a
 
 
@@ -277,9 +284,12 @@ def _inherited_rule(prev: KnotDiagram, curve: ClosedCurve):
     is returned with the diagram as (pairs, radius): the event verdict of
     the step reads the same pairs.  Matched crossings keep their overpass
     strand; unmatched new crossings put the earlier passage on top, which
-    is the consistent choice for an R2 pair.
+    is the consistent choice for an R2 pair.  Between Reidemeister events
+    the map stays prev's, and the diagram shares prev's walks: the census
+    of a labelling is searched and the faces are walked once per map.
     """
     base = detect_crossings(curve)
+    base.graph.share_walks(prev.graph)
     radius = max(5.0 * float(np.max(np.hypot(*(curve.points - prev.curve.points).T))), 1e-3)
     pairs = _match_crossings(prev, base, radius)
     rule, prev_over = [True] * base.n_crossings, prev.first_over

@@ -1,7 +1,7 @@
 """JSON wire formats.
 
 Curve JSON:    {"points": [[x, y], ...], "length": L}, N >= 8 finite points, finite L > 0
-Diagram JSON:  {"curve": CurveJSON, "crossings": [{"pos": [x, y], "over": i, "under": j}]}: i and j
+Diagram JSON:  {"curve": CurveJSON, "crossings": [{"pos": [x, y], "over": i, "under": j}]}: ints i and j
                index the over and under passages in the curve's passage order, and
                must be the passage pair of a crossing that detection finds on the
                curve; `pos` is not read back.
@@ -53,8 +53,8 @@ def diagram_from_json(obj: dict) -> KnotDiagram:
     stored over/under choices are replayed onto them; on curve JSON (no
     `crossings` key) they keep detect_crossings' labels.  ValueError
     without a curve, for a crossing record without comparable `over` and
-    `under`, and unless the records' unordered passage pairs are those of
-    the detected crossings, each once."""
+    `under`, and unless they are ints (no float or bool) whose unordered
+    pairs are those of the detected crossings, each once."""
     if "crossings" not in obj:
         return detect_crossings(curve_from_json(obj))
     if "curve" not in obj:
@@ -66,7 +66,8 @@ def diagram_from_json(obj: dict) -> KnotDiagram:
         first_over = {index.get((min(p), max(p))): p[0] < p[1] for p in pairs}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"diagram crossings need over and under passages: {exc!r}") from None
-    if None in first_over or len(first_over) != len(pairs) or len(pairs) != d.n_crossings:
+    integral = all(type(i) is int for p in pairs for i in p)  # 0.0 and true find passages 0 and 1
+    if not integral or None in first_over or len(first_over) != len(pairs) or len(pairs) != d.n_crossings:
         raise ValueError(f"diagram crossings (over, under) {pairs} do not fit the curve's passage pairs "
                          f"{[c.passages for c in d.crossings]}")
     return d.relabelled(first_over[k] for k in range(d.n_crossings))

@@ -70,14 +70,9 @@ class ELResidualReport:
 
 
 def discrete_curvature(g: GaussRep) -> np.ndarray:
-    """kappa = d(alpha)/ds by central differences on the periodic lift."""
-    ext = g.lifted_extension()
-    n = g.n
-    a = ext[n : 2 * n]
-    ap = ext[n + 1 : 2 * n + 1]
-    am = ext[n - 1 : 2 * n - 1]
-    h_s = g.length / n
-    return (ap - am) / (2.0 * h_s)
+    """kappa = d(alpha)/ds by central differences on the periodic lift:
+    the read-only array the lift takes once."""
+    return g._curvature
 
 
 def _second_derivative(g: GaussRep) -> np.ndarray:
@@ -128,19 +123,14 @@ def energy_uf_extended(c: ClosedCurve, e: EnergyFunctional, eps: float) -> float
     return float(h_s * np.sum(e.f(kappa)))
 
 
-def _closure_directions(g: GaussRep):
-    return np.sin(g.alpha), np.cos(g.alpha)
-
-
 def project_closure(g: GaussRep, v: np.ndarray) -> np.ndarray:
     """Remove the components of v along sin(alpha) and cos(alpha).
 
     These are the gradients of the two closure integrals; the projection
-    is the rank-2 Gram solve in the discrete L^2 inner product.
+    is the rank-2 Gram solve in the discrete L^2 inner product, on the
+    basis and Gram matrix the lift takes once.
     """
-    s, c = _closure_directions(g)
-    basis = np.column_stack([s, c])
-    gram = basis.T @ basis
+    basis, gram = g._closure
     rhs = basis.T @ v
     try:
         coef = np.linalg.solve(gram, rhs)
@@ -170,7 +160,7 @@ def gradient_norm(g: GaussRep, v: np.ndarray) -> float:
 def el_residual(g: GaussRep, e: EnergyFunctional) -> ELResidualReport:
     """Least-squares fit of f''(a') a'' = C1 cos a + C2 sin a."""
     lhs = e.f_double_prime(discrete_curvature(g)) * _second_derivative(g)
-    basis = np.column_stack([np.cos(g.alpha), np.sin(g.alpha)])
+    basis = np.column_stack(g._tangent)
     coef, *_ = np.linalg.lstsq(basis, lhs, rcond=None)
     res = lhs - basis @ coef
     return ELResidualReport(float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(res * res))))

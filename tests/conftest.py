@@ -57,6 +57,29 @@ def out_and_back_polygon():
 
 
 # ---------------------------------------------------------------------------
+# Whitney index through the Gauss lift: the oracle of curve.whitney_index
+# ---------------------------------------------------------------------------
+
+
+def whitney_index_oracle(c) -> int:
+    """The Whitney index by way of the curve's Gauss lift: unwrap the
+    central-difference tangent angles, wrap the lift's cyclic increments
+    again for the regularity test, and read the turns off its defect."""
+    from flatknot.curve import _wrap_to_pi, gauss_from_curve
+
+    g = gauss_from_curve(c)
+    inc = np.abs(_wrap_to_pi(np.diff(np.concatenate([g.alpha, g.alpha[:1]]))))
+    bad = np.nonzero(inc >= np.pi / 2)[0]
+    if len(bad):
+        raise ValueError(f"curve not regular at sample {int(bad[0])}")
+    defect = g.lift_defect()
+    w = round(defect / TWO_PI)
+    if abs(defect / TWO_PI - w) >= 1e-3:
+        raise ValueError("tangent winding is not close to an integer")
+    return int(w)
+
+
+# ---------------------------------------------------------------------------
 # per-cycle resistance gradient: the oracle of flow._resistance_gradient
 # ---------------------------------------------------------------------------
 

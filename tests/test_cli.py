@@ -148,7 +148,7 @@ class TestCyclesCmd:
         assert main(["cycles", "--diagram", str(triple_point_json)]) == 3
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("fit", ["extra", "missing", "mismatched"])
+    @pytest.mark.parametrize("fit", ["extra", "missing", "mismatched", "float"])
     def test_crossing_list_must_fit_curve(self, tmp_path, capsys, fit):
         from flatknot.diagram import detect_crossings
         from flatknot.jsonio import diagram_to_json
@@ -158,6 +158,9 @@ class TestCyclesCmd:
             obj["crossings"].append({"pos": [0.0, 0.0], "over": 6, "under": 7})
         elif fit == "missing":
             obj["crossings"].pop()
+        elif fit == "float":
+            # the detected pairs, one index written as a float
+            obj["crossings"][0]["over"] = float(obj["crossings"][0]["over"])
         else:
             # as many records as crossings, but not the curve's passage pairs
             for rec, (over, under) in zip(obj["crossings"], [(0, 99), (-5, 1), (7, 3)]):

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from flatknot import curve as curve_mod
 from flatknot.curve import (
+    ClosedCurve,
     GaussRep,
     align_rigid,
     closure_integrals,
@@ -21,8 +22,11 @@ from flatknot.fixtures import (
     ellipse_curve,
     fourier_wobble,
     noisy_figure_eight,
+    random_immersed_curves,
 )
 from flatknot.pendulum import PendulumParams, build_infinity_curve, pendulum_alpha
+
+from conftest import whitney_index_oracle
 
 TWO_PI = 2 * np.pi
 
@@ -88,6 +92,19 @@ class TestGauss:
     def test_lift_has_no_wraps(self):
         g = gauss_from_curve(fourier_wobble(256, seed=3))
         assert np.abs(np.diff(g.alpha)).max() < np.pi
+
+
+    def test_lift_is_read_only(self):
+        """A lift caches what it computes from its angles, so its arrays
+        are read-only views: a write raises, and the caller's arrays stay
+        writable."""
+        alpha, base = np.arange(64) * (TWO_PI / 64), np.zeros(2)
+        g = GaussRep(alpha, base)
+        curve_from_gauss(g)
+        for a in (g.alpha, g.base_point):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        assert alpha.flags.writeable and base.flags.writeable
 
 
 class TestCurveFromGauss:
@@ -184,6 +201,29 @@ class TestWhitney:
         c = resample_arclength(outline, 64)
         with pytest.raises(ValueError, match="curve not regular at sample"):
             whitney_index(c)
+
+    def test_matches_lift_oracle(self, infinity_curve):
+        """The one-pass index against the round trip through the Gauss
+        lift (conftest): the same value, or the same error message."""
+        curves = [c for c, _ in random_immersed_curves(300, seed=41, n=256)]
+        curves += [circle_curve(512), circle_curve(512, clockwise=True)]
+        curves += [doubly_traversed_circle(512), doubly_traversed_circle(512).reversed()]
+        curves += [noisy_figure_eight(256), infinity_curve]
+        # the slit rectangle of test_cusp_rejected, and a square with a spike on top
+        slit = [[0, 0], [2, 0], [2, 1], [1.05, 1], [1.05, 0.2], [0.95, 0.2], [0.95, 1], [0, 1]]
+        spike = [[0, 0], [2, 0], [2, 2], [1.001, 2], [1, 4], [0.999, 2], [0, 2]]
+        curves += [resample_arclength(np.array(p, dtype=float), 64) for p in (slit, spike)]
+        curves += [ClosedCurve(np.array(spike, dtype=float), 8.0)]
+
+        def outcome(fn, c):
+            try:
+                return fn(c)
+            except ValueError as exc:
+                return str(exc)
+
+        got = [outcome(whitney_index, c) for c in curves]
+        assert got == [outcome(whitney_index_oracle, c) for c in curves]
+        assert {1, -1, 2, -2, 0} <= set(got) and sum(isinstance(w, str) for w in got) >= 3
 
     @given(st.integers(0, 25))
     def test_resampling_invariance(self, seed):

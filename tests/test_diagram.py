@@ -567,6 +567,13 @@ def cycle_records(cycles):
     return [(cy.edge_ids, cy.orientations, cy.n_arcs, cy.alternated, cy.area.hex()) for cy in cycles]
 
 
+def walk_records(d, census=True):
+    """A diagram's census (if asked for) and faces, every field, areas as
+    their bits."""
+    faces = [(edge_ids, area.hex(), walk) for edge_ids, area, walk in diagram_faces(d)]
+    return cycle_records(enumerate_cycles(d)) if census else None, faces
+
+
 @pytest.fixture(scope="module")
 def census_pools():
     """The diagrams of the benchmark's census workload at seeds 1 and 2."""
@@ -730,6 +737,87 @@ class TestSharedCensus:
             found += sum(len(bd.cycles) for pair in energies[:2] for bd in pair)
             searches.clear()
         assert found > 0
+
+    def test_re_flow_searches_once(self, searches):
+        """Between Reidemeister events the flow keeps its map, so a
+        20-iterate RE flow of the trefoil searches one census: that of its
+        start diagram, which every line-search candidate shares."""
+        from flatknot.flow import FlowConfig, relax
+
+        tr = relax(trefoil_curve(256), FlowConfig(resistance="RE", max_iters=20))
+        assert (len(tr.records), tr.events) == (20, [])
+        assert len(searches) == 1
+
+    def test_map_change_searches_again(self, searches):
+        """The R2 move of bigon_pair makes a new map, which searches its
+        own census; a curve with that map shares its walks and does not."""
+        from flatknot.flow import _inherited_rule
+
+        crossed, clear = bigon_pair()
+        start = detect_crossings(clear)
+        moved, _ = _inherited_rule(start, crossed)
+        assert (start.n_crossings, moved.n_crossings) == (0, 2)
+        assert moved.graph.walks is not start.graph.walks
+        census = cycle_records(enumerate_cycles(moved))
+        assert len(searches) == 1
+        same, _ = _inherited_rule(moved, moved.curve)
+        assert same.graph.walks is moved.graph.walks
+        assert cycle_records(enumerate_cycles(same)) == census
+        assert len(searches) == 1
+
+    def test_mirror_image_is_another_map(self):
+        """A mirror image passes the crossings in the same order, so every
+        edge joins the same two ends, but its rotation system is flipped:
+        it shares no walks, and its faces run the other way round."""
+        d = detect_crossings(trefoil_curve(256))
+        mirror = detect_crossings(ClosedCurve(d.curve.points * [1.0, -1.0], d.curve.length))
+        assert [e[:2] for e in mirror.graph.edges] == [e[:2] for e in d.graph.edges]
+        assert mirror.graph.left == [not b for b in d.graph.left]
+        diagram_faces(d)
+        mirror.graph.share_walks(d.graph)
+        assert mirror.graph.walks is not d.graph.walks
+        assert walk_records(mirror) == walk_records(detect_crossings(mirror.curve))
+
+    @pytest.mark.parametrize("name", ["RelaxEight-1", "RelaxEight-2", "RelaxReTrefoil-1", "RelaxReTrefoil-2",
+                                      "pool2-none", "pool9-none", "pool1-MRE", "adversarial"])
+    def test_flow_candidates_match_fresh_diagrams(self, name, monkeypatch):
+        """Every line-search candidate's census and faces, read through the
+        walks it shares with its parent's map, against those of a fresh
+        detection with the same labels: the same records in the same
+        order, areas bit for bit.  The inputs are the benchmark's flows
+        and the event flows of test_flow.py, which change the map."""
+        from flatknot import flow
+        from flatknot.fixtures import collapse_functional
+
+        kind, _, arg = name.partition("-")
+        if kind.startswith("Relax"):
+            sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+            try:
+                import workloads
+            finally:
+                sys.path.pop(0)
+            w = getattr(workloads, kind)(int(arg))
+            c0, cfg = w.make_input(), w.cfg
+        elif kind == "adversarial":
+            c0 = limacon_curve(inner=2.0, n=256)
+            cfg = flow.FlowConfig(functional=collapse_functional(), resistance="none", delta=0.05, grad_tol=1e-6)
+        else:
+            c0 = random_immersed_curves(12, seed=77, n=256)[int(kind[4:])][0]
+            cfg = flow.FlowConfig(resistance=arg, delta=0.2, step0=1e-4, grad_tol=1e-4, max_iters=150)
+        shared = []
+
+        def spy(prev, curve, inherited=flow._inherited_rule):
+            d, match = inherited(prev, curve)
+            shared.append(d.graph.walks is prev.graph.walks)
+            census = d.n_crossings <= 12  # the adversarial flow ends on 105 crossings, too many for a census
+            fresh = detect_crossings(d.curve).relabelled(d.first_over)
+            assert walk_records(d, census) == walk_records(fresh, census)
+            return d, match
+
+        monkeypatch.setattr(flow, "_inherited_rule", spy)
+        flow.relax(c0, cfg)
+        assert any(shared)
+        assert kind.startswith("Relax") or not all(shared)
 
     def test_census_op_takes_each_lobe_once(self, monkeypatch):
         calls = []

@@ -54,13 +54,16 @@ def test_diagram_round_trip_preserves_over_under(labelling):
         [{"over": 0, "under": 99}, {"over": -5, "under": 1}, {"over": 7, "under": 3}],
         [{"over": 0, "under": 0}] * 3,
         [{"over": 0, "under": 3}, {"over": 3, "under": 0}, {"over": 2, "under": 5}],
+        [{"over": 0.0, "under": 3}, {"over": 1, "under": 4}, {"over": 2, "under": 5}],
+        [{"over": 0, "under": 3}, {"over": 4, "under": True}, {"over": 2, "under": 5}],
     ],
-    ids=["unknown-passages", "one-passage", "listed-twice"],
+    ids=["unknown-passages", "one-passage", "listed-twice", "float-passage", "bool-passage"],
 )
 def test_diagram_crossings_must_be_detected_pairs(records):
     """The trefoil's crossings have passage pairs (0, 3), (1, 4) and
-    (2, 5): a crossing list is accepted only as those pairs, each once.
-    A list of the right length with other pairs is rejected too."""
+    (2, 5): a crossing list is accepted only as those pairs of ints, each
+    once.  A list of the right length with other pairs is rejected too,
+    and so is 0.0 or true, which equal passages 0 and 1."""
     obj = diagram_to_json(detect_crossings(trefoil_curve(256)))
     assert {tuple(sorted((r["over"], r["under"]))) for r in obj["crossings"]} == {(0, 3), (1, 4), (2, 5)}
     with pytest.raises(ValueError, match="do not fit the curve"):
