@@ -18,7 +18,6 @@ from .diagram import enumerate_cycles, enumerate_cycles_graph, gmre, mre, resist
 from .errors import (
     CodimensionOneError,
     CycleExplosionError,
-    ParityObstructionError,
     SingularDiagramError,
 )
 from .flow import FlowConfig, relax
@@ -63,7 +62,7 @@ def _functional(name: str):
 
 
 def cmd_pendulum(args) -> int:
-    if args.r % 2 != 0 or args.r == 0:
+    if args.r % 2 != 0:
         print(
             f"error: r = {args.r} is odd; the sin closure integral equals "
             "2 alpha'(0)/omega^2 != 0, so no closed curve exists",
@@ -252,9 +251,6 @@ def main(argv=None) -> int:
         parser.error("cycles needs --diagram, --grid or --gstar")
     try:
         return args.fn(args)
-    except ParityObstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -73,10 +73,11 @@ class GaussRep:
     `length` is the true arclength of the underlying curve (2pi unless the
     curve was rescaled); curvature is d(alpha)/ds = alpha' * 2pi/length.
 
-    A lift takes (cos alpha, sin alpha), the closure basis with its Gram
-    matrix and the discrete curvature once, on first use, and keeps them
-    read-only.  They assume `alpha` and `base_point` never change, so both
-    are read-only views: writing to them raises.
+    A lift takes (cos alpha, sin alpha), the closure gap, the trapezoid
+    points, the closure basis with its Gram matrix and the discrete
+    curvature once, on first use, and keeps them read-only.  They assume
+    `alpha` and `base_point` never change, so both are read-only views:
+    writing to them raises.
     """
 
     alpha: np.ndarray
@@ -95,6 +96,26 @@ class GaussRep:
     def _tangent(self) -> tuple[np.ndarray, np.ndarray]:
         """(cos alpha, sin alpha)."""
         return _read_only(np.cos(self.alpha)), _read_only(np.sin(self.alpha))
+
+    @cached_property
+    def _gap(self) -> np.ndarray:
+        """(h sum cos alpha, h sum sin alpha) with h = length / N: the
+        periodic trapezoid values of the two closure integrals, by which
+        the trapezoid points miss closing."""
+        cos, sin = self._tangent
+        h = self.length / self.n
+        return _read_only(np.array([h * cos.sum(), h * sin.sum()]))
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        """The N trapezoid points p[k+1] = p[k] + h/2 (T[k] + T[k+1]) of
+        the unit tangent T = (cos alpha, sin alpha) from base_point, with
+        h = length / N; the step from the last point back to the first
+        closes when the gap is 0."""
+        h = self.length / self.n
+        coords = [b + np.concatenate([[0.0], np.cumsum(0.5 * h * (t[:-1] + t[1:]))])
+                  for t, b in zip(self._tangent, self.base_point)]
+        return _read_only(np.column_stack(coords))
 
     @cached_property
     def _closure(self) -> tuple[np.ndarray, np.ndarray]:
@@ -201,57 +222,53 @@ def gauss_from_curve(c: ClosedCurve) -> GaussRep:
     return GaussRep(alpha, c.points[0].copy(), c.length)
 
 
-def closure_integrals(alpha, length: float) -> np.ndarray:
-    """(h sum cos alpha, h sum sin alpha) with h = length / N: the periodic
-    trapezoid values of the two closure integrals, which vanish exactly
-    when the unit-tangent integral of alpha returns to its start."""
-    h = length / len(alpha)
-    return np.array([h * np.cos(alpha).sum(), h * np.sin(alpha).sum()])
-
-
-def trapezoid_points(alpha, base, length: float) -> np.ndarray:
-    """Integrate the unit tangent (cos alpha, sin alpha) from `base`.
-
-    Periodic trapezoid steps p[k+1] = p[k] + h/2 (T[k] + T[k+1]) with
-    h = length / N, batched over the leading axes of alpha (..., N).
-    Returns the N points, shape (..., N, 2); the step from the last back
-    to the first closes exactly when the closure integrals vanish.
-    """
-    a = np.asarray(alpha, dtype=float)
-    return _integrate_tangent(np.cos(a), np.sin(a), base, length)
-
-
-def _integrate_tangent(cos, sin, base, length: float) -> np.ndarray:
-    """trapezoid_points from the tangent (cos alpha, sin alpha)."""
-    h = length / cos.shape[-1]
-    zeros = np.zeros(cos.shape[:-1] + (1,))
-    coords = []
-    for t, b in ((cos, base[0]), (sin, base[1])):
-        steps = np.cumsum(0.5 * h * (t[..., :-1] + t[..., 1:]), axis=-1)
-        coords.append(b + np.concatenate([zeros, steps], axis=-1))
-    return np.stack(coords, axis=-1)
+def close_lift(alpha, base) -> GaussRep:
+    """alpha re-closed as a lift of length 2pi from `base`: Newton steps
+    along alpha's closure directions (sin alpha, cos alpha) until both
+    closure integrals are below 1e-12 * 2pi (a projected step leaves an
+    O(step^2) drift).  Each Newton step takes sin and cos of its angles
+    once, for both the closure integrals and the Jacobian; the last pair
+    is the returned lift's tangent."""
+    a = alpha
+    s0, c0 = np.sin(alpha), np.cos(alpha)
+    s, c = s0, c0
+    h = TWO_PI / len(a)
+    for _ in range(8):
+        f1, f2 = h * c.sum(), h * s.sum()
+        if abs(f1) < 1e-12 * TWO_PI and abs(f2) < 1e-12 * TWO_PI:
+            break
+        j11 = -h * np.sum(s * s0)
+        j12 = -h * np.sum(s * c0)
+        j21 = h * np.sum(c * s0)
+        j22 = h * np.sum(c * c0)
+        det = j11 * j22 - j12 * j21
+        if abs(det) < 1e-14:
+            break
+        da = (j22 * -f1 - j12 * -f2) / det
+        db = (j11 * -f2 - j21 * -f1) / det
+        a = a + da * s0 + db * c0
+        s, c = np.sin(a), np.cos(a)
+    g = GaussRep(a, base, TWO_PI)
+    g.__dict__["_tangent"] = _read_only(c), _read_only(s)
+    return g
 
 
 def curve_from_gauss(g: GaussRep) -> ClosedCurve:
     """The closed curve of a Gauss lift, of stored length g.length.
 
-    The trapezoid points from the base point miss closing by the closure
-    integrals; that gap is spread linearly over the samples.  A gap above
-    1e-6 is no rounding residue but an open lift, and raises StalledError.
-    Both read the lift's one (cos alpha, sin alpha).
+    The lift's trapezoid points miss closing by its gap, which is spread
+    linearly over the samples.  A gap above 1e-6 is no rounding residue
+    but an open lift, and raises StalledError.
     """
-    cos, sin = g._tangent
-    h = g.length / g.n
-    gap = np.array([h * cos.sum(), h * sin.sum()])  # closure_integrals(g.alpha, g.length)
+    gap = g._gap
     if not np.hypot(*gap) <= 1e-6:
         raise StalledError(f"angle lift does not close: gap {np.hypot(*gap):.3e}")
-    pts = _integrate_tangent(cos, sin, g.base_point, g.length)
-    return ClosedCurve(pts - np.outer(np.arange(g.n) / g.n, gap), g.length)
+    return ClosedCurve(g._points - np.outer(np.arange(g.n) / g.n, gap), g.length)
 
 
 def closure_report(g: GaussRep) -> ClosureReport:
     """Closure integrals, angle defect and Whitney index of a Gauss lift."""
-    cos_i, sin_i = closure_integrals(g.alpha, g.length)
+    cos_i, sin_i = g._gap
     defect = g.lift_defect()
     w = int(round(defect / TWO_PI))
     return ClosureReport(float(cos_i), float(sin_i), float(_wrap_to_pi(defect)), w)

@@ -11,16 +11,17 @@ integration.  The step runs along its H^1 direction: the gradient
 preconditioned by P = I - d^2/ds^2 (one real FFT, symbol 1 + k^2 at
 integer frequency k) and projected again, so the stiff high frequencies
 no longer set the step size.  Convergence is still tested on the L^2
-norm of the projected gradient.  Every accepted iterate is re-closed and
-integrated at unit speed, so it has length 2pi, and carries its U_f
-value and its resistance breakdown, whose cycles are the next frozen
-set.  Each line-search candidate's crossings are matched once to the
-current ones; over/under data is inherited along that match, and the
-accepted candidate's census change is judged on it: R2 / R3, or
-FORBIDDEN, which aborts the flow.  Between those events the map is
-frozen: a candidate with its parent's map shares the parent's census and
-faces and only re-measures their areas, and each iterate's lift takes
-its cos/sin, closure basis and curvature once for every use.
+norm of the projected gradient.  Every accepted iterate is re-closed by
+close_lift and integrated at unit speed, so it has length 2pi, and
+carries its U_f value and its resistance breakdown, whose cycles are the
+next frozen set.  Each line-search candidate's crossings are matched
+once to the current ones; over/under data is inherited along that
+match, and the accepted candidate's census change is judged on it:
+R2 / R3, or FORBIDDEN, which aborts the flow.  Between those events the
+map is frozen: a candidate with its parent's map shares the parent's
+census and faces and only re-measures their areas, and each iterate's
+lift keeps the cos/sin of its re-close and takes its trapezoid points,
+closure basis and curvature once for every use.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from numbers import Real
 
 import numpy as np
 
-from .curve import (ClosedCurve, GaussRep, TWO_PI, _integrate_tangent, curve_from_gauss, gauss_from_curve,
-                    whitney_index)
+from .curve import ClosedCurve, GaussRep, TWO_PI, close_lift, curve_from_gauss, gauss_from_curve, whitney_index
 from .diagram import (
     EnergyBreakdown,
     KnotDiagram,
@@ -174,10 +174,10 @@ def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
     """Exact gradient, in angle space, of the resistance of the frozen
     cycle set bd.cycles, by one weighted pass over the curve.
 
-    The curve is one closed walk of the samples that trapezoid_points
-    gives for g and, at each passage, of the crossing X = a + t d1 of its
-    segments [a, b] and [c, e]; each segment lies on one edge of the map
-    (a crossing-free curve is one edge).  A cycle's signed area is
+    The curve is one closed walk of the lift's trapezoid points and, at
+    each passage, of the crossing X = a + t d1 of its segments [a, b] and
+    [c, e]; each segment lies on one edge of the map (a crossing-free
+    curve is one edge).  A cycle's signed area is
     A_c = sum_e o_ce S_e, with S_e edge e's open shoelace sum and
     o_ce = +-1 its direction in c, so grad sum_c 1/|A_c| = sum_e W_e grad S_e
     with W_e = sum_c o_ce (-sign A_c / A_c^2).  Each weighted segment goes
@@ -190,7 +190,7 @@ def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
     if not bd.cycles:
         return np.zeros(n)
     cos, sin = g._tangent
-    pts = _integrate_tangent(cos, sin, g.base_point, g.length)
+    pts = g._points
     i, j = np.array(d.crossing_segments, dtype=int).reshape(-1, 2).T
     a, b, c, e = pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]
     d1, d2 = b - a, e - c
@@ -247,33 +247,6 @@ def _projected_gradient(x: _Iterate, cfg: FlowConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
-
-
-def _reclose_alpha(alpha, length):
-    """Newton-correct alpha along sin/cos directions so both closure
-    integrals vanish (the projected step leaves an O(step^2) drift).
-    Each Newton step takes sin and cos of its angles once, for both the
-    closure integrals and the Jacobian."""
-    a = alpha.copy()
-    s0, c0 = np.sin(alpha), np.cos(alpha)
-    s, c = s0, c0
-    h = length / len(a)
-    for _ in range(8):
-        f1, f2 = h * c.sum(), h * s.sum()  # closure_integrals(a, length)
-        if abs(f1) < 1e-12 * TWO_PI and abs(f2) < 1e-12 * TWO_PI:
-            break
-        j11 = -h * np.sum(s * s0)
-        j12 = -h * np.sum(s * c0)
-        j21 = h * np.sum(c * s0)
-        j22 = h * np.sum(c * c0)
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-14:
-            break
-        da = (j22 * -f1 - j12 * -f2) / det
-        db = (j11 * -f2 - j21 * -f1) / det
-        a = a + da * s0 + db * c0
-        s, c = np.sin(a), np.cos(a)
-    return a
 
 
 def _inherited_rule(prev: KnotDiagram, curve: ClosedCurve):
@@ -385,11 +358,10 @@ def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
     s, rejected = step, []
     while s >= _STEP_FLOOR:
         try:
-            alpha_s = _reclose_alpha(g.alpha - s * d, TWO_PI)
-            if np.array_equal(alpha_s, g.alpha):
+            g_s = close_lift(g.alpha - s * d, g.base_point)
+            if np.array_equal(g_s.alpha, g.alpha):
                 # already critical to rounding: nothing moves
                 return x, s, tuple(rejected)
-            g_s = GaussRep(alpha_s, g.base_point, TWO_PI)
             cand = curve_from_gauss(g_s)
             d_s, match = _inherited_rule(x.diagram, cand)
             y = _measure(g_s, cand, d_s, cfg, match)
@@ -409,7 +381,7 @@ def _start(c: ClosedCurve, cfg: FlowConfig, diagram: KnotDiagram | None = None) 
     passage."""
     if abs(c.length - TWO_PI) > 1e-8:
         c = c.scaled(TWO_PI / c.length)
-    g = GaussRep(_reclose_alpha(gauss_from_curve(c).alpha, TWO_PI), c.points[0], TWO_PI)
+    g = close_lift(gauss_from_curve(c).alpha, c.points[0])
     curve = curve_from_gauss(g)
     d = detect_crossings(curve)
     if diagram is not None:

@@ -173,7 +173,9 @@ def build_infinity_curve(r: int, n: int = 1024) -> ClosedCurve:
     r = 2k yields the r = 2 curve traversed k times at scale 1/k.  Odd r
     is rejected: the sin closure integral equals 2 alpha'(0)/omega^2 != 0.
     """
-    if r % 2 != 0 or r == 0:
+    if r == 0:
+        raise ValueError("r must be a nonzero integer")
+    if r % 2 != 0:
         raise ParityObstructionError(
             "sin-integral obstruction: the closure condition fails for odd r"
         )

@@ -15,11 +15,12 @@ from math import factorial
 import numpy as np
 
 from . import fixtures
-from .curve import align_rigid, gauss_from_curve, closure_report, whitney_index, TWO_PI
+from .curve import GaussRep, align_rigid, gauss_from_curve, closure_report, whitney_index, TWO_PI
 from .diagram import detect_crossings, enumerate_cycles, enumerate_cycles_graph, gamma_bound, resistance_energy
 from .flow import FlowConfig, relax
 from .lattice import grid_cycle_count, gstar_alternated_count, gstar_lower_bound
 from .pendulum import (
+    _sn_cn_dn,
     build_infinity_curve,
     elliptic_k,
     find_critical_xi,
@@ -30,6 +31,7 @@ from .pendulum import (
 from .uniformization import (
     F_X,
     F_X2,
+    discrete_curvature,
     el_residual,
     energy_uf,
     energy_uf_extended,
@@ -181,8 +183,6 @@ def check_elliptic_identities():
             v = jacobi_sn(float(u), k)
             worst1 = max(worst1, abs(v.sn**2 + v.cn**2 - 1))
             worst2 = max(worst2, abs(v.dn**2 + k * k * v.sn**2 - 1))
-        from .pendulum import _sn_cn_dn
-
         s, c, d = _sn_cn_dn(us, k)
         worst1 = max(worst1, float(np.abs(s * s + c * c - 1).max()))
         worst2 = max(worst2, float(np.abs(d * d + k * k * s * s - 1).max()))
@@ -209,8 +209,6 @@ def check_elliptic_identities():
 
 
 def check_gradient():
-    from .curve import GaussRep
-
     worst = 0.0
     for seed in range(20):
         c = fixtures.fourier_wobble(128, seed, amplitude=0.12)
@@ -271,8 +269,6 @@ def check_gstar_bound():
 
 
 def check_flow_circle():
-    from .uniformization import discrete_curvature
-
     tr, dt = _flow_run("circle")
     k = discrete_curvature(gauss_from_curve(tr.final_curve))
     spread = float(k.max() - k.min())

@@ -108,22 +108,21 @@ def per_cycle_resistance_gradient(g, d, bd):
     """Exact gradient, in angle space, of the resistance of the frozen
     cycle set bd.cycles, by one reverse pass per cycle.
 
-    The cycles are evaluated on the samples that trapezoid_points gives
-    for g, each crossing at the intersection X = a + t d1 of its two
-    segments [a, b] and [c, e].  The pass takes each 1/A to its vertices
-    by the shoelace, each crossing's share to its four segment endpoints,
-    and the samples' cotangents back through the trapezoid sums to the
-    angles.  Returned in the L^2 convention used by uf_gradient (divide
-    the Euclidean partials by the arclength step).
+    The cycles are evaluated on the lift's trapezoid points, each
+    crossing at the intersection X = a + t d1 of its two segments [a, b]
+    and [c, e].  The pass takes each 1/A to its vertices by the shoelace,
+    each crossing's share to its four segment endpoints, and the samples'
+    cotangents back through the trapezoid sums to the angles.  Returned
+    in the L^2 convention used by uf_gradient (divide the Euclidean
+    partials by the arclength step).
     """
-    from flatknot.curve import trapezoid_points
     from flatknot.diagram import signed_area
     from flatknot.errors import SingularDiagramError
 
     n = g.n
     if not bd.cycles:
         return np.zeros(n)
-    pts = trapezoid_points(g.alpha, g.base_point, g.length)
+    pts = g._points
     i, j = np.array(d.crossing_segments, dtype=int).reshape(-1, 2).T
     a, b, c, e = pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]
     d1, d2 = b - a, e - c

@@ -52,6 +52,11 @@ class TestPendulumCmd:
         assert main(["pendulum", "--r", "3", "--out", str(tmp_path)]) == 2
         assert "odd" in capsys.readouterr().err
 
+    def test_r0_usage_exit(self, tmp_path, capsys):
+        assert main(["pendulum", "--r", "0", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "r must be a nonzero integer" in err and "odd" not in err
+
     def test_r4_homothetic(self, tmp_path, capsys):
         assert main(["pendulum", "--r", "2", "--n", "1024", "--out", str(tmp_path)]) == 0
         assert main(["pendulum", "--r", "4", "--n", "2048", "--out", str(tmp_path)]) == 0

@@ -7,7 +7,7 @@ from flatknot.curve import (
     ClosedCurve,
     GaussRep,
     align_rigid,
-    closure_integrals,
+    close_lift,
     closure_report,
     curve_from_gauss,
     gauss_from_curve,
@@ -23,6 +23,7 @@ from flatknot.fixtures import (
     fourier_wobble,
     noisy_figure_eight,
     random_immersed_curves,
+    trefoil_curve,
 )
 from flatknot.pendulum import PendulumParams, build_infinity_curve, pendulum_alpha
 
@@ -106,6 +107,39 @@ class TestGauss:
                 a[0] = 1.0
         assert alpha.flags.writeable and base.flags.writeable
 
+    def test_cached_geometry_is_read_only(self):
+        """The tangent, the gap and the trapezoid points are cached once:
+        neither their arrays nor the attributes can be written."""
+        g = close_lift(gauss_from_curve(trefoil_curve(128)).alpha, np.zeros(2))
+        for name in ("_tangent", "_gap", "_points"):
+            value = getattr(g, name)
+            for a in value if isinstance(value, tuple) else (value,):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
+
+
+class TestCloseLift:
+    @staticmethod
+    def _perturbed_trefoil(n=256, seed=0):
+        alpha = gauss_from_curve(trefoil_curve(n)).alpha
+        return alpha + 1e-3 * np.random.default_rng(seed).standard_normal(n)
+
+    def test_closes(self):
+        alpha = self._perturbed_trefoil()
+        h = TWO_PI / len(alpha)
+        assert abs(h * np.cos(alpha).sum()) > 1e-6  # open before
+        g = close_lift(alpha, np.zeros(2))
+        assert g.length == TWO_PI
+        assert abs(h * np.cos(g.alpha).sum()) < 1e-12 * TWO_PI
+        assert abs(h * np.sin(g.alpha).sum()) < 1e-12 * TWO_PI
+
+    def test_keeps_its_tangent(self):
+        g = close_lift(self._perturbed_trefoil(), np.zeros(2))
+        cos, sin = g._tangent
+        assert np.array_equal(cos, np.cos(g.alpha)) and np.array_equal(sin, np.sin(g.alpha))
+
 
 class TestCurveFromGauss:
     def test_circle_reconstruction(self):
@@ -125,7 +159,7 @@ class TestCurveFromGauss:
         alpha = np.arange(n) * (TWO_PI / n)
         alpha[0] += gap * n / TWO_PI
         g = GaussRep(alpha)
-        assert np.hypot(*closure_integrals(g.alpha, g.length)) == pytest.approx(gap, rel=1e-3)
+        assert np.hypot(*g._gap) == pytest.approx(gap, rel=1e-3)
         return g
 
     def test_gap_above_tolerance_raises(self):
@@ -137,8 +171,14 @@ class TestCurveFromGauss:
         c = curve_from_gauss(g)
         # every step, the wrap step included, is the trapezoid step less gap / N
         t = np.column_stack([np.cos(g.alpha), np.sin(g.alpha)])
-        want = 0.5 * (g.length / g.n) * (t + np.roll(t, -1, axis=0)) - closure_integrals(g.alpha, g.length) / g.n
+        want = 0.5 * (g.length / g.n) * (t + np.roll(t, -1, axis=0)) - g._gap / g.n
         assert np.abs(np.roll(c.points, -1, axis=0) - c.points - want).max() < 1e-14
+
+    def test_spreads_gap_over_lift_points(self):
+        g = close_lift(TestCloseLift._perturbed_trefoil(), np.array([0.5, -1.0]))
+        want = g._points - np.outer(np.arange(g.n) / g.n, g._gap)
+        assert np.array_equal(curve_from_gauss(g).points, want)
+        assert np.array_equal(g._points[0], g.base_point)
 
     def test_stores_lift_length(self):
         for c in (circle_curve(256, radius=2.0), ellipse_curve(256)):

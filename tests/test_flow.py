@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flatknot.curve import TWO_PI, ClosedCurve, GaussRep, gauss_from_curve, resample_arclength, trapezoid_points
+from flatknot.curve import TWO_PI, ClosedCurve, GaussRep, gauss_from_curve, resample_arclength
 from flatknot import flow
 from flatknot.diagram import detect_crossings, enumerate_cycles, gmre, resistance_energy, shoelace_area
 from flatknot.errors import CodimensionOneError, SingularDiagramError, StalledError
@@ -170,12 +170,12 @@ class TestResistanceGradient:
         resistance through the public path: integrate the angles, detect
         the crossings with the same over/under bits and evaluate."""
         g = gauss_from_curve(curve)
-        d = detect_crossings(ClosedCurve(trapezoid_points(g.alpha, g.base_point, g.length), g.length))
+        d = detect_crossings(ClosedCurve(g._points, g.length))
         rule = d.first_over
         cfgs = [FlowConfig(resistance=fam, delta=0.5) for fam in families]
 
         def resistances(alpha):
-            pts = trapezoid_points(alpha, g.base_point, g.length)
+            pts = GaussRep(alpha, g.base_point, g.length)._points
             dd = detect_crossings(ClosedCurve(pts, g.length)).relabelled(rule)
             return np.array([resistance_breakdown(dd, cfg).total for cfg in cfgs])
 

@@ -205,6 +205,12 @@ class TestInfinityCurve:
         with pytest.raises(ParityObstructionError, match="sin-integral obstruction"):
             build_infinity_curve(1)
 
+    def test_zero_r_is_not_odd(self):
+        with pytest.raises(ValueError, match="r must be a nonzero integer") as info:
+            build_infinity_curve(0)
+        assert not isinstance(info.value, ParityObstructionError)
+        assert "odd" not in str(info.value)
+
 
 class TestFullSwingExclusion:
     def test_full_rotations_never_close(self):
