@@ -4,7 +4,10 @@ same lines produce the same bits:
 
 - each record, event, ending and final curve of the four reference flows
   behind `flatknot verify`;
-- relax of the 256-sample trefoil under RE for 120 iterates;
+- relax of the 256-sample trefoil under RE for 120 iterates, and under
+  GMRE (delta = 0.2) for 60;
+- relax of the third random immersed curve (seed 77, 256 samples) under
+  MRE (delta = 0.2) for 40 iterates, which makes eight R2 events;
 - census, RE, MRE and GMRE (delta = 0.2) of twelve random immersed curves
   (seed 77, 256 samples).
 
@@ -50,8 +53,11 @@ def _flow(name, trace):
 for name, run in verify._FLOWS.items():
     _flow(name, run())
 _flow("relax trefoil RE", relax(trefoil_curve(256), FlowConfig(resistance="RE", max_iters=120)))
+_flow("relax trefoil GMRE", relax(trefoil_curve(256), FlowConfig(resistance="GMRE", delta=0.2, max_iters=60)))
+random_curves = random_immersed_curves(12, seed=77, n=256)
+_flow("relax random2 MRE", relax(random_curves[2][0], FlowConfig(resistance="MRE", delta=0.2, max_iters=40)))
 
-for k, (_, d) in enumerate(random_immersed_curves(12, seed=77, n=256)):
+for k, (_, d) in enumerate(random_curves):
     _line(f"random{k} census", enumerate_cycles(d))
     _line(f"random{k} RE", resistance_energy(d))
     _line(f"random{k} MRE", mre(d, 0.2))

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .curve import gauss_from_curve, closure_report
-from .diagram import enumerate_cycles, enumerate_cycles_graph, gmre, mre, resistance_energy
+from .diagram import enumerate_cycles, enumerate_cycles_graph, resistance
 from .errors import (
     CodimensionOneError,
     CycleExplosionError,
@@ -92,12 +92,8 @@ def cmd_energy(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     try:
-        if args.family == "RE":
-            report = breakdown_to_json(resistance_energy(diagram))
-        elif args.family == "MRE":
-            report = breakdown_to_json(mre(diagram, args.delta))
-        elif args.family == "GMRE":
-            report = breakdown_to_json(gmre(diagram, args.delta))
+        if args.family != "U":
+            report = breakdown_to_json(resistance(diagram, args.family, args.delta))
         else:
             e = _functional(args.f)
             g = gauss_from_curve(diagram.curve)
@@ -115,6 +111,8 @@ def cmd_energy(args) -> int:
 
 
 def cmd_cycles(args) -> int:
+    if args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, not {args.limit}")
     try:
         if args.grid is not None:
             print(json.dumps({"total": grid_cycle_count(args.grid)}))

@@ -421,38 +421,43 @@ class KnotDiagram:
     def scaled(self, s: float) -> "KnotDiagram":
         return detect_crossings(self.curve.scaled(s)).relabelled(self.first_over)
 
-    @cached_property
-    def _census(self) -> tuple["DiagramCycle", ...]:
-        """The cycle census, searched once per map and labelling: another
-        diagram of them takes the cycles' darts, arc counts and
-        alternation from `graph.walks` and only the areas, by
-        `_walk_area`, from its own geometry.  The search sums the areas as
-        `_walk_area` does, so either way gives the same bits."""
+    def _walked(self, key, walk, measure) -> tuple:
+        """The walks of this map under `key` in `graph.walks`: the first
+        diagram of the map runs `walk()` and keeps its result there;
+        another takes those walks and `measure`s each on its own geometry."""
         g = self.graph
-        if not self.n_crossings:
-            return tuple(_search(self, DEFAULT_CYCLE_LIMIT))
-        key = tuple(g.over_strand)
         known = g.walks.get(key)
         if known is None:
-            known = g.walks[key] = tuple(_search(self, DEFAULT_CYCLE_LIMIT))
+            known = g.walks[key] = walk()
             return known
-        return tuple(
-            DiagramCycle(cy.edge_ids, cy.orientations, cy.n_arcs, cy.alternated,
-                         abs(_walk_area(g, tuple(zip(cy.edge_ids, cy.orientations)))), g.edges)
-            for cy in known
+        return tuple(map(measure, known))
+
+    @cached_property
+    def _census(self) -> tuple["DiagramCycle", ...]:
+        """The cycle census, searched once per map and labelling
+        (`_walked`): another diagram of them re-measures only the areas,
+        by `_walk_area`, which sums as the search does, so either way
+        gives the same bits.  A crossing-free diagram's one cycle is the
+        curve itself, one closed arc, vacuously alternated."""
+        g = self.graph
+        if not self.n_crossings:
+            pts = self.curve.points
+            edge = Edge(None, None, np.vstack([pts, pts[:1]]))
+            return (DiagramCycle((0,), (True,), 1, True, shoelace_area(pts), [edge]),)
+        return self._walked(
+            tuple(g.over_strand),
+            # the limit read now: the search's default was bound at import
+            lambda: tuple(enumerate_cycles_graph(g, max_cycles=DEFAULT_CYCLE_LIMIT)),
+            lambda cy: DiagramCycle(cy.edge_ids, cy.orientations, cy.n_arcs, cy.alternated,
+                                    abs(_walk_area(g, tuple(zip(cy.edge_ids, cy.orientations)))), g.edges),
         )
 
     @cached_property
     def _faces(self) -> tuple:
-        """The faces of the map (diagram_faces), walked once per map:
-        another diagram of it takes the walks from `graph.walks` and the
-        areas from its own geometry."""
+        """The faces of the map (diagram_faces), walked once per map
+        (`_walked`): another diagram of it re-measures their areas."""
         g = self.graph
-        known = g.walks.get("faces")
-        if known is None:
-            known = g.walks["faces"] = _walk_faces(g)
-            return known
-        return tuple((edge_ids, _walk_area(g, walk), walk) for edge_ids, _, walk in known)
+        return self._walked("faces", lambda: _walk_faces(g), lambda f: (f[0], _walk_area(g, f[2]), f[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +467,6 @@ class KnotDiagram:
 
 def enumerate_cycles_graph(
     g: DiagramGraph,
-    area_cap: float | None = None,
     arc_cap: int | None = None,
     max_cycles: int = DEFAULT_CYCLE_LIMIT,
     edge_subset=None,
@@ -518,8 +522,6 @@ def enumerate_cycles_graph(
             if n_arcs > cap:
                 return
             area = abs(total + corner / 2.0)
-            if area_cap is not None and area >= area_cap:
-                return
             found.append(DiagramCycle(tuple(eids), tuple(fwds), n_arcs, levels | bit != 3, area, g.edges))
             if len(found) > max_cycles:
                 raise CycleExplosionError(f"cycle explosion: more than {max_cycles} cycles", len(found))
@@ -564,18 +566,9 @@ def enumerate_cycles_graph(
 def enumerate_cycles(d: KnotDiagram, max_cycles: int = DEFAULT_CYCLE_LIMIT) -> list[DiagramCycle]:
     """Every embedded circle of the diagram, canonically ordered: a fresh
     list of the diagram's cached census.  Another `max_cycles` searches
-    anew, so that the limit it sets is enforced."""
-    if max_cycles == DEFAULT_CYCLE_LIMIT:
+    the map anew, so that the limit it sets is enforced."""
+    if max_cycles == DEFAULT_CYCLE_LIMIT or not d.n_crossings:
         return list(d._census)
-    return _search(d, max_cycles)
-
-
-def _search(d: KnotDiagram, max_cycles) -> list[DiagramCycle]:
-    if d.n_crossings == 0:
-        # the curve itself, one closed arc, vacuously alternated
-        pts = d.curve.points
-        edge = Edge(None, None, np.vstack([pts, pts[:1]]))
-        return [DiagramCycle((0,), (True,), 1, True, shoelace_area(pts), [edge])]
     return enumerate_cycles_graph(d.graph, max_cycles=max_cycles)
 
 
@@ -615,21 +608,22 @@ def _critical_cycles(d: KnotDiagram, delta: float, arc_cap: int | None = None) -
     bounds a union of faces, so one of area < delta encloses only faces
     of area < delta and each of its edges borders one of them.  It finds
     each such cycle once, from its least edge id along the same darts as
-    the census, so both ways give the same cycles, areas and order.
+    the census, and either way one filter keeps the cycles of area < delta
+    after the search, so both give the same cycles, areas and order.
     """
-    if not delta > 0:
+    if delta is None or not delta > 0:
         raise ValueError("delta must be positive")
     if d.n_crossings == 0 or "_census" in vars(d):
-        return [cy for cy in d._census if cy.area < delta and (arc_cap is None or cy.n_arcs <= arc_cap)]
-    faces = d._faces
-    outer = min(range(len(faces)), key=lambda i: faces[i][1])
-    low = set()
-    for i, (edge_ids, area, _) in enumerate(faces):
-        if i != outer and abs(area) < delta:
-            low |= edge_ids
-    if not low:
-        return []
-    return enumerate_cycles_graph(d.graph, area_cap=delta, arc_cap=arc_cap, edge_subset=low)
+        found = d._census
+    else:
+        faces = d._faces
+        outer = min(range(len(faces)), key=lambda i: faces[i][1])
+        low = set()
+        for i, (edge_ids, area, _) in enumerate(faces):
+            if i != outer and abs(area) < delta:
+                low |= edge_ids
+        found = enumerate_cycles_graph(d.graph, arc_cap=arc_cap, edge_subset=low)
+    return [cy for cy in found if cy.area < delta and (arc_cap is None or cy.n_arcs <= arc_cap)]
 
 
 def mre(d: KnotDiagram, delta: float) -> EnergyBreakdown:
@@ -650,6 +644,23 @@ def gmre(d: KnotDiagram, delta: float) -> EnergyBreakdown:
         if cy.n_arcs <= 3 and cy.alternated or cy.n_arcs == 4
     ]
     return _breakdown(cycles, "GMRE", delta)
+
+
+RESISTANCE_FAMILIES = ("RE", "MRE", "GMRE", "none")
+
+
+def resistance(d: KnotDiagram, family: str, delta: float | None = None) -> EnergyBreakdown:
+    """The resistance energy of `family`, one of RESISTANCE_FAMILIES;
+    MRE and GMRE read `delta`.  "none" is empty with total 0."""
+    if family == "RE":
+        return resistance_energy(d)
+    if family == "MRE":
+        return mre(d, delta)
+    if family == "GMRE":
+        return gmre(d, delta)
+    if family == "none":
+        return EnergyBreakdown(0.0, (), "none")
+    raise ValueError(f"resistance must be one of {RESISTANCE_FAMILIES}")
 
 
 def gamma_bound(n_crossings: int) -> float:

@@ -13,7 +13,8 @@ integer frequency k) and projected again, so the stiff high frequencies
 no longer set the step size.  Convergence is still tested on the L^2
 norm of the projected gradient.  Every accepted iterate is re-closed by
 close_lift and integrated at unit speed, so it has length 2pi, and
-carries its U_f value and its resistance breakdown, whose cycles are the
+carries its U_f value and its resistance breakdown, taken by
+`diagram.resistance`, the one switch on the family, whose cycles are the
 next frozen set.  Each line-search candidate's crossings are matched
 once to the current ones; over/under data is inherited along that
 match, and the accepted candidate's census change is judged on it:
@@ -34,14 +35,7 @@ from numbers import Real
 import numpy as np
 
 from .curve import ClosedCurve, GaussRep, TWO_PI, close_lift, curve_from_gauss, gauss_from_curve, whitney_index
-from .diagram import (
-    EnergyBreakdown,
-    KnotDiagram,
-    detect_crossings,
-    gmre,
-    mre,
-    resistance_energy,
-)
+from .diagram import RESISTANCE_FAMILIES, EnergyBreakdown, KnotDiagram, detect_crossings, gmre, resistance
 from .errors import CodimensionOneError, SingularDiagramError, StalledError
 from .uniformization import EnergyFunctional, F_X2, energy_uf, gradient_norm, project_closure, uf_gradient
 
@@ -49,8 +43,6 @@ _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-12
 _STEP_GROWTH = 1.5
 _REJECTED_BY = {CodimensionOneError: "codim1", SingularDiagramError: "singular", StalledError: "stalled"}
-
-RESISTANCE_FAMILIES = ("RE", "MRE", "GMRE", "none")
 
 
 @dataclass(frozen=True)
@@ -68,8 +60,8 @@ class FlowConfig:
         for name in ("delta", "step0", "grad_tol"):
             if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), Real):
                 raise ValueError(f"{name} must be a real number")
-        if not (self.step0 > 0 and self.grad_tol > 0):  # NaN fails too
-            raise ValueError("step0 and grad_tol must be positive")
+        if not (0 < self.step0 < np.inf and self.grad_tol > 0):  # NaN fails too
+            raise ValueError("step0 and grad_tol must be positive, and step0 finite")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
         # the GMRE monitor reads delta under every resistance
@@ -129,24 +121,13 @@ class FlowTrace:
         return max((r.gmre for r in self.records), default=0.0)
 
 
-def resistance_breakdown(d: KnotDiagram, cfg: FlowConfig) -> EnergyBreakdown:
-    """The configured resistance of the diagram; its cycles are the frozen
-    cycle set of the resistance gradient.  "none" is empty with total 0."""
-    if cfg.resistance == "RE":
-        return resistance_energy(d)
-    if cfg.resistance == "MRE":
-        return mre(d, cfg.delta)
-    if cfg.resistance == "GMRE":
-        return gmre(d, cfg.delta)
-    return EnergyBreakdown(0.0, (), "none")
-
-
 @dataclass(frozen=True)
 class _Iterate:
-    """Exactly-closed angle samples with everything measured on them."""
+    """Exactly-closed angle samples with everything measured on them: the
+    curve is `diagram.curve`, and the resistance breakdown's cycles are the
+    frozen cycle set of the resistance gradient."""
 
-    gauss: GaussRep  # length 2pi, based at curve.points[0]
-    curve: ClosedCurve
+    gauss: GaussRep  # length 2pi, based at diagram.curve.points[0]
     diagram: KnotDiagram
     u: float
     resistance: EnergyBreakdown
@@ -157,8 +138,8 @@ class _Iterate:
         return self.u + self.resistance.total
 
 
-def _measure(g: GaussRep, curve: ClosedCurve, diagram: KnotDiagram, cfg: FlowConfig, match=None) -> _Iterate:
-    return _Iterate(g, curve, diagram, energy_uf(g, cfg.functional), resistance_breakdown(diagram, cfg), match)
+def _measure(g: GaussRep, diagram: KnotDiagram, cfg: FlowConfig, match=None) -> _Iterate:
+    return _Iterate(g, diagram, energy_uf(g, cfg.functional), resistance(diagram, cfg.resistance, cfg.delta), match)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +345,7 @@ def _step_from_alpha(x: _Iterate, grad, cfg: FlowConfig, step: float):
                 return x, s, tuple(rejected)
             cand = curve_from_gauss(g_s)
             d_s, match = _inherited_rule(x.diagram, cand)
-            y = _measure(g_s, cand, d_s, cfg, match)
+            y = _measure(g_s, d_s, cfg, match)
             if y.total <= x.total - _ARMIJO * s * slope:
                 return y, s, tuple(rejected)
             rejected.append("armijo")
@@ -382,11 +363,10 @@ def _start(c: ClosedCurve, cfg: FlowConfig, diagram: KnotDiagram | None = None) 
     if abs(c.length - TWO_PI) > 1e-8:
         c = c.scaled(TWO_PI / c.length)
     g = close_lift(gauss_from_curve(c).alpha, c.points[0])
-    curve = curve_from_gauss(g)
-    d = detect_crossings(curve)
+    d = detect_crossings(curve_from_gauss(g))
     if diagram is not None:
         d = d.relabelled(diagram.first_over)
-    return _measure(g, curve, d, cfg)
+    return _measure(g, d, cfg)
 
 
 def flow_step(c: ClosedCurve, cfg: FlowConfig, step: float, diagram: KnotDiagram | None = None):
@@ -398,7 +378,7 @@ def flow_step(c: ClosedCurve, cfg: FlowConfig, step: float, diagram: KnotDiagram
     """
     x = _start(c, cfg, diagram)
     y, s, _ = _step_from_alpha(x, _projected_gradient(x, cfg), cfg, step)
-    return y.curve, s
+    return y.diagram.curve, s
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +490,7 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
 
     for it in range(cfg.max_iters):
         if keyframe_cb is not None:
-            keyframe_cb(it, x.curve)
+            keyframe_cb(it, x.diagram.curve)
         y, gnorm, accepted, rejected = None, None, None, ()
         try:
             grad = _projected_gradient(x, cfg)
@@ -538,13 +518,13 @@ def relax(c0: ClosedCurve, cfg: FlowConfig, keyframe_cb=None) -> FlowTrace:
                 trace.terminated = "forbidden_event"
                 break
 
-    trace.final_curve = x.curve
+    trace.final_curve = x.diagram.curve
     return trace
 
 
 def _record(it: int, x: _Iterate, cfg: FlowConfig, grad_norm=None, step=None, rejected=()) -> IterateRecord:
     try:
-        whitney = whitney_index(x.curve)
+        whitney = whitney_index(x.diagram.curve)
     except ValueError:
         whitney = None
     return IterateRecord(it, x.u, x.resistance.total, x.diagram.n_crossings, _monitor(x, cfg), whitney,

@@ -31,10 +31,10 @@ def elliptic_k(k: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention.
 
     Arithmetic-geometric mean iteration: K = pi / (2 agm(1, k')).
-    K is even in k; k >= 1 is out of range.
+    K is even in k; k >= 1 and NaN are out of range.
     """
     k = abs(float(k))
-    if k >= 1.0:
+    if not k < 1.0:
         raise ModulusRangeError("modulus out of range")
     a, b = 1.0, float(np.sqrt(1.0 - k * k))
     for _ in range(64):
@@ -65,7 +65,7 @@ def _sn_cn_dn(u, k: float):
     few ulp.
     """
     k = abs(float(k))
-    if k >= 1.0:
+    if not k < 1.0:  # NaN fails too
         raise ModulusRangeError("modulus out of range")
     u = np.asarray(u, dtype=float)
     if k < 1e-16:

@@ -50,10 +50,10 @@ F_X4 = EnergyFunctional(lambda x: x**4, lambda x: 4.0 * x**3, lambda x: 12.0 * x
 
 
 def power_functional(exponent: float) -> EnergyFunctional:
-    """|x|^a with a > 1, the family singled out for study."""
-    if exponent <= 1:
-        raise ValueError("exponent must exceed 1")
+    """|x|^a with 1 < a < inf, the family singled out for study."""
     a = float(exponent)
+    if not 1 < a < np.inf:  # NaN fails too
+        raise ValueError("exponent must exceed 1" if a <= 1 else "exponent must be finite")
     return EnergyFunctional(
         lambda x: np.abs(x) ** a,
         lambda x: a * np.sign(x) * np.abs(x) ** (a - 1),

@@ -92,6 +92,11 @@ class TestEnergyCmd:
         assert main(["energy", str(trefoil_json), "--family", family, "--delta", "nan"]) == 2
         assert "delta must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exponent", ["nan", "inf"])
+    def test_nonfinite_exponent_is_usage_error(self, trefoil_json, exponent, capsys):
+        assert main(["energy", str(trefoil_json), "--f", f"|x|^{exponent}"]) == 2
+        assert "exponent must be finite" in capsys.readouterr().err
+
     def test_unknown_functional_is_usage_error(self, trefoil_json, capsys):
         assert main(["energy", str(trefoil_json), "--f", "foo"]) == 2
         assert "unknown functional 'foo'" in capsys.readouterr().err
@@ -142,6 +147,11 @@ class TestCyclesCmd:
     def test_grid(self, n, total, capsys):
         assert main(["cycles", "--grid", str(n)]) == 0
         assert json.loads(capsys.readouterr().out)["total"] == total
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_usage_error(self, trefoil_json, limit, capsys):
+        assert main(["cycles", "--diagram", str(trefoil_json), "--limit", limit]) == 2
+        assert f"error: --limit must be at least 1, not {limit}" in capsys.readouterr().err
 
     def test_explosion_exit(self, trefoil_json, capsys):
         assert main(["cycles", "--diagram", str(trefoil_json), "--limit", "5"]) == 4
@@ -257,9 +267,10 @@ class TestRelaxCmd:
             ({"functional": None}, "functional must be a string, not None"),
             ({"max_iters": True}, "max_iters must be an integer >= 1"),
             ({"step0": float("nan")}, "step0 and grad_tol must be positive"),
+            ({"step0": float("inf")}, "step0 and grad_tol must be positive, and step0 finite"),
         ],
         ids=["misspelt-key", "string-iters", "zero-iters", "negative-iters", "list-config", "string-delta",
-             "string-step0", "bool-grad-tol", "null-functional", "bool-iters", "nan-step0"],
+             "string-step0", "bool-grad-tol", "null-functional", "bool-iters", "nan-step0", "inf-step0"],
     )
     def test_bad_config_is_usage_error(self, tmp_path, capsys, cfg, message):
         curve_path = tmp_path / "circle.json"

@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 from flatknot import diagram as diagram_module
 from flatknot.curve import ClosedCurve, resample_arclength
 from flatknot.diagram import (
+    RESISTANCE_FAMILIES,
     DiagramGraph,
+    EnergyBreakdown,
     _segment_intersections,
     detect_crossings,
     diagram_faces,
@@ -18,6 +20,7 @@ from flatknot.diagram import (
     gamma_bound,
     gmre,
     mre,
+    resistance,
     resistance_energy,
     shoelace_area,
     signed_area,
@@ -184,6 +187,11 @@ def split_into_arcs(g, cy):
 
 
 CAP_SETTINGS = [(None, None), (None, 4), (0.05, 4), (0.05, None)]
+
+
+def below(cycles, area):
+    """The cycles of area < `area`, in their order; all if it is None."""
+    return [cy for cy in cycles if area is None or cy.area < area]
 
 
 def oracle_graphs():
@@ -512,12 +520,19 @@ class TestEnumerate:
         assert len(cycles) == 1
         assert cycles[0].alternated and cycles[0].n_arcs == 1
 
+    def test_circle_ignores_limit(self):
+        # a crossing-free diagram has its one cycle under any limit
+        d = detect_crossings(circle_curve(256))
+        cycles = enumerate_cycles(d, max_cycles=0)
+        assert cycle_records(cycles) == cycle_records(enumerate_cycles(d))
+        assert cycles[0].area == pytest.approx(np.pi, rel=1e-3)
+
     def test_caps(self, trefoil_diagram):
         g = trefoil_diagram.graph
         assert len(enumerate_cycles_graph(g, arc_cap=2)) == 9
         areas = [cy.area for cy in enumerate_cycles(trefoil_diagram)]
         cap = sorted(areas)[4]
-        assert len(enumerate_cycles_graph(g, area_cap=cap)) == 4
+        assert len(below(enumerate_cycles_graph(g), cap)) == 4
 
     def test_explosion_guard(self, trefoil_diagram):
         with pytest.raises(CycleExplosionError, match="cycle explosion") as err:
@@ -529,11 +544,11 @@ class TestEnumerate:
             used = [c for c, _, _ in split_into_arcs(trefoil_diagram.graph, cy)[0]]
             assert len(used) == len(set(used))
 
-    @pytest.mark.parametrize("area_cap,arc_cap", CAP_SETTINGS)
-    def test_carried_bits_match_arc_splitting(self, area_cap, arc_cap):
+    @pytest.mark.parametrize("area_below,arc_cap", CAP_SETTINGS)
+    def test_carried_bits_match_arc_splitting(self, area_below, arc_cap):
         non_alternated = 0
         for name, g in oracle_graphs():
-            for cy in enumerate_cycles_graph(g, area_cap, arc_cap):
+            for cy in below(enumerate_cycles_graph(g, arc_cap=arc_cap), area_below):
                 _, arcs = split_into_arcs(g, cy)
                 assert cy.n_arcs == max(1, len(arcs)), name
                 assert cy.alternated == all(start != end for start, end in arcs), name
@@ -590,18 +605,20 @@ class TestSearchMatchesOracle:
     every closed path again for its area: the same records in the same
     order, areas bit for bit."""
 
-    @pytest.mark.parametrize("area_cap,arc_cap", CAP_SETTINGS)
-    def test_census_pools(self, census_pools, area_cap, arc_cap):
+    @pytest.mark.parametrize("area_below,arc_cap", CAP_SETTINGS)
+    def test_census_pools(self, census_pools, area_below, arc_cap):
         for d in census_pools:
-            want = enumerate_cycles_graph_oracle(d.graph, area_cap, arc_cap)
-            assert cycle_records(enumerate_cycles_graph(d.graph, area_cap, arc_cap)) == cycle_records(want)
+            want = enumerate_cycles_graph_oracle(d.graph, area_below, arc_cap)
+            got = below(enumerate_cycles_graph(d.graph, arc_cap=arc_cap), area_below)
+            assert cycle_records(got) == cycle_records(want)
 
-    @pytest.mark.parametrize("area_cap,arc_cap", CAP_SETTINGS)
-    def test_oracle_graphs_and_woven_fragments(self, area_cap, arc_cap):
+    @pytest.mark.parametrize("area_below,arc_cap", CAP_SETTINGS)
+    def test_oracle_graphs_and_woven_fragments(self, area_below, arc_cap):
         graphs = oracle_graphs() + [("woven5", woven_fragment(5))]
         for name, g in graphs:
-            want = enumerate_cycles_graph_oracle(g, area_cap, arc_cap)
-            assert cycle_records(enumerate_cycles_graph(g, area_cap, arc_cap)) == cycle_records(want), name
+            want = enumerate_cycles_graph_oracle(g, area_below, arc_cap)
+            got = below(enumerate_cycles_graph(g, arc_cap=arc_cap), area_below)
+            assert cycle_records(got) == cycle_records(want), name
 
     @pytest.mark.parametrize("delta", [0.05, 0.2, 1.0, np.inf])
     def test_critical_edge_subsets(self, census_pools, monkeypatch, delta):
@@ -709,11 +726,11 @@ class TestSharedCensus:
         assert len(resistance_energy(d).cycles) == 11
 
     def test_capped_calls_search(self, searches):
-        """Capped searches of the map, and a census under another limit,
-        each search anew past the cached census."""
+        """Searches of the map, capped or not, and a census under another
+        limit, each search anew past the cached census."""
         d = detect_crossings(trefoil_curve(256))
         enumerate_cycles(d)
-        assert len(diagram_module.enumerate_cycles_graph(d.graph, area_cap=1e9)) == 11
+        assert len(below(diagram_module.enumerate_cycles_graph(d.graph), 1e9)) == 11
         assert len(diagram_module.enumerate_cycles_graph(d.graph, arc_cap=2)) == 9
         assert len(enumerate_cycles(d, max_cycles=11)) == 11
         assert len(searches) == 4
@@ -943,13 +960,39 @@ class TestGmre:
             assert counts.get(p, 0) <= (2 * n) ** p / factorial(p)
 
 
+class TestResistance:
+    """`resistance`, the one switch from a family name to its energy."""
+
+    def test_unknown_family(self, trefoil_diagram):
+        with pytest.raises(ValueError, match="resistance must be one of"):
+            resistance(trefoil_diagram, "RME", 0.2)
+
+    @pytest.mark.parametrize("family", ["MRE", "GMRE"])
+    def test_critical_families_need_delta(self, trefoil_diagram, family):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            resistance(trefoil_diagram, family)
+
+    @pytest.mark.parametrize("family, direct", [
+        ("RE", lambda d, delta: resistance_energy(d)),
+        ("MRE", mre),
+        ("GMRE", gmre),
+        ("none", lambda d, delta: EnergyBreakdown(0.0, (), "none")),
+    ], ids=RESISTANCE_FAMILIES)
+    def test_equals_direct_call(self, family, direct):
+        curves = [trefoil_curve(256), circle_curve(128)] + [c for c, _ in random_immersed_curves(4, seed=77, n=200)]
+        for c in curves:
+            for delta in (0.2, np.inf):
+                want = direct(detect_crossings(c), delta)
+                got = resistance(detect_crossings(c), family, delta)
+                assert got == want
+                assert got.total == want.total and cycle_records(got.cycles) == cycle_records(want.cycles)
+
+
 def gmre_oracle(d, delta):
-    """Oracle: the GMRE cycles by a search of the whole map with both caps,
-    then the Gamma filter; a crossing-free diagram has its census cycle."""
-    if d.n_crossings:
-        cycles = enumerate_cycles_graph(d.graph, area_cap=delta, arc_cap=4)
-    else:
-        cycles = [cy for cy in enumerate_cycles(d) if cy.area < delta]
+    """Oracle: the GMRE cycles by a search of the whole map with the arc
+    cap, then the area and Gamma filters; a crossing-free diagram has its
+    census cycle."""
+    cycles = below(enumerate_cycles_graph(d.graph, arc_cap=4) if d.n_crossings else enumerate_cycles(d), delta)
     return [cy for cy in cycles if cy.n_arcs <= 3 and cy.alternated or cy.n_arcs == 4]
 
 

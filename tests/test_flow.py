@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from flatknot.curve import TWO_PI, ClosedCurve, GaussRep, gauss_from_curve, resample_arclength
-from flatknot import flow
-from flatknot.diagram import detect_crossings, enumerate_cycles, gmre, resistance_energy, shoelace_area
+from flatknot import diagram as diagram_module, flow
+from flatknot.diagram import detect_crossings, enumerate_cycles, gmre, resistance, resistance_energy, shoelace_area
 from flatknot.errors import CodimensionOneError, SingularDiagramError, StalledError
 from flatknot.fixtures import (
     bigon_pair,
@@ -23,7 +23,6 @@ from flatknot.flow import (
     classify_event,
     flow_step,
     relax,
-    resistance_breakdown,
 )
 from flatknot.pendulum import elliptic_k
 from flatknot.uniformization import (
@@ -91,7 +90,7 @@ def triangle_strand(d, p):
 def energy_split(c, cfg):
     """(U, R) of a curve: U_f of its angles and the configured resistance
     of its detected diagram."""
-    return energy_uf(gauss_from_curve(c), cfg.functional), resistance_breakdown(detect_crossings(c), cfg).total
+    return energy_uf(gauss_from_curve(c), cfg.functional), resistance(detect_crossings(c), cfg.resistance, cfg.delta).total
 
 
 class TestTotalEnergy:
@@ -116,6 +115,12 @@ class TestTotalEnergy:
         with pytest.raises(ValueError, match="delta must be positive"):
             FlowConfig(resistance=resistance, delta=delta)
 
+    @pytest.mark.parametrize("step0", [np.inf, np.nan, 0.0, -1e-4])
+    def test_step0_positive_and_finite(self, step0):
+        # an infinite step halves to itself, so its line search never ends
+        with pytest.raises(ValueError, match="step0 and grad_tol must be positive"):
+            FlowConfig(resistance="RE", step0=step0)
+
     @pytest.mark.parametrize("max_iters", [0, -1, "3", 2.5])
     def test_max_iters_must_be_positive_integer(self, max_iters):
         with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
@@ -139,7 +144,7 @@ class TestResistanceGradient:
         d = detect_crossings(c)
         assert d.n_crossings == 0 and c.length == pytest.approx(TWO_PI)
         g = gauss_from_curve(c)
-        got = project_closure(g, _resistance_gradient(g, d, resistance_breakdown(d, FlowConfig(resistance="RE"))))
+        got = project_closure(g, _resistance_gradient(g, d, resistance(d, "RE")))
 
         h = g.length / g.n
 
@@ -177,7 +182,7 @@ class TestResistanceGradient:
         def resistances(alpha):
             pts = GaussRep(alpha, g.base_point, g.length)._points
             dd = detect_crossings(ClosedCurve(pts, g.length)).relabelled(rule)
-            return np.array([resistance_breakdown(dd, cfg).total for cfg in cfgs])
+            return np.array([resistance(dd, cfg.resistance, cfg.delta).total for cfg in cfgs])
 
         eps = 1e-5
         fd = np.empty((len(cfgs), g.n))
@@ -186,7 +191,7 @@ class TestResistanceGradient:
             e[m] = eps
             fd[:, m] = (resistances(g.alpha + e) - resistances(g.alpha - e)) / (2 * eps)
         for cfg, row in zip(cfgs, fd):
-            got = project_closure(g, _resistance_gradient(g, d, resistance_breakdown(d, cfg)))
+            got = project_closure(g, _resistance_gradient(g, d, resistance(d, cfg.resistance, cfg.delta)))
             want = project_closure(g, row / (g.length / g.n))
             assert gradient_norm(g, want) > 1e-3, cfg.resistance
             assert gradient_norm(g, got - want) <= 1e-6 * gradient_norm(g, want), cfg.resistance
@@ -204,7 +209,7 @@ class TestResistanceGradient:
         g = gauss_from_curve(curve)
         d = detect_crossings(curve)
         for fam in families:
-            bd = resistance_breakdown(d, FlowConfig(resistance=fam, delta=0.5))
+            bd = resistance(d, fam, 0.5)
             assert bd.cycles, fam
             want = per_cycle_resistance_gradient(g, d, bd)
             got = _resistance_gradient(g, d, bd)
@@ -299,7 +304,7 @@ class TestFlowStep:
         cfg = FlowConfig(resistance="none", step0=1e-4)
         c = circle_curve(128)
         c1, _ = flow_step(c, cfg, cfg.step0)
-        assert np.abs(c1.points - flow._start(c, cfg).curve.points).max() < 1e-8
+        assert np.abs(c1.points - flow._start(c, cfg).diagram.curve.points).max() < 1e-8
 
     def test_steps_from_the_start_iterate(self):
         """flow_step steps from the curve relax starts from: re-closed,
@@ -682,7 +687,8 @@ class TestRelax:
             measured.append(args)
             return _measure(*args)
 
-        monkeypatch.setattr(flow, "gmre", counted)
+        monkeypatch.setattr(flow, "gmre", counted)  # the monitor's
+        monkeypatch.setattr(diagram_module, "gmre", counted)  # the breakdown's, by `resistance`
         monkeypatch.setattr(flow, "_measure", measure)
         tr = relax(trefoil_curve(128), cfg)
         assert len(tr.records) == cfg.max_iters and tr.max_gmre > 0

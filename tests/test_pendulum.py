@@ -61,6 +61,12 @@ class TestEllipticK:
         with pytest.raises(ModulusRangeError, match="modulus out of range"):
             elliptic_k(1.0)
 
+    def test_nan_out_of_range(self):
+        with pytest.raises(ModulusRangeError, match="modulus out of range"):
+            elliptic_k(np.nan)
+        with pytest.raises(ModulusRangeError, match="modulus out of range"):
+            jacobi_sn(0.5, np.nan)
+
 
 class TestJacobiSn:
     @pytest.mark.parametrize("u", [0.3, 1.0, 2.5])

@@ -45,6 +45,11 @@ class TestEnergyFunctional:
         with pytest.raises(ValueError):
             power_functional(1.0)
 
+    @pytest.mark.parametrize("exponent", [np.nan, np.inf])
+    def test_power_family_is_finite(self, exponent):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            power_functional(exponent)
+
 
 class TestDiscreteCurvature:
     def test_unit_circle(self):
