@@ -97,11 +97,17 @@ class DiagramGraph:
     counter-clockwise, else 1, 2, 0, 3.  Detection sets both once, and
     the face walk reads `left`.
 
+    Detection also records `layout` (`_Layout`), how the edge table is
+    cut from the curve, and `gather`, the index array and per-edge bounds
+    that cut it, which a candidate with the same layout reuses
+    (`_build_edges`).
+
     `walks` holds the walks of the map as first found, shared by every
-    graph of the same map (`share_walks`): under "faces" the faces, and
-    under each labelling `tuple(over_strand)` its census.  Only darts,
-    arc counts and alternation are read back from them; each diagram
-    takes the areas on its own lobes.
+    graph of the same map (`same_map`): under "faces" the faces, under
+    each labelling `tuple(over_strand)` its census, and under a
+    labelling, low-face edge set and arc cap a delta-critical search.
+    Only darts, arc counts and alternation are read back from them; each
+    diagram takes the areas on its own lobes.
     """
 
     def __init__(self, n_crossings, over_strand, left):
@@ -111,6 +117,8 @@ class DiagramGraph:
         self.edges: list[Edge] = []
         self.slot_edge: list[dict] = [dict() for _ in range(n_crossings)]
         self.walks: dict = {}
+        self.layout: _Layout | None = None
+        self.gather: tuple | None = None
 
     def add_edge(self, end0, end1, points, interior_indices=()) -> int:
         eid = len(self.edges)
@@ -129,13 +137,28 @@ class DiagramGraph:
         shares it."""
         return [(signed_area(e.points), e.points[0].tolist(), e.points[-1].tolist()) for e in self.edges]
 
-    def share_walks(self, other: "DiagramGraph") -> None:
-        """Take `other`'s walks if both graphs are one map: the same
-        rotation system, and every edge between the same two ends."""
-        if self.left == other.left and len(self.edges) == len(other.edges) and all(
-            e[:2] == f[:2] for e, f in zip(self.edges, other.edges)
-        ):
-            self.walks = other.walks
+    def same_map(self, other: "DiagramGraph") -> bool:
+        """Whether both detected graphs are one map: the same crossing
+        passed at every passage, the same first passages, and the same
+        rotation bits.  The passages fix every edge's two ends."""
+        a, b = self.layout, other.layout
+        return a is not None and b is not None and (a.owner, a.first, self.left) == (b.owner, b.first, other.left)
+
+
+class _Layout(NamedTuple):
+    """How detection cuts a map's edge table from its curve of `n`
+    samples.  Per passage in order: the crossing passed (`owner`), whether
+    it is that crossing's first passage (`first`), and the first and
+    past-last sample index of the edge after it (`lo`, `hi`); `keep` is
+    the bytes of the mask of those samples not within 1e-12 of their
+    edge's two end crossings."""
+
+    owner: list
+    first: list
+    n: int
+    lo: list
+    hi: list
+    keep: bytes
 
 
 def signed_area(points: np.ndarray) -> float:
@@ -186,28 +209,69 @@ def _sweep_pairs(lo, hi):
     return order[first], order[second]
 
 
-def _segment_intersections(pts: np.ndarray):
+def _box_pairs(lo, hi):
+    """The non-adjacent segment pairs (i < j) whose boxes [lo, hi] meet:
+    `_sweep_pairs` pairs the boxes that meet in x, and one mask drops the
+    adjacent pairs, the wrap-adjacent pair (0, n-1) and the boxes that
+    miss in y."""
+    n = len(lo)
+    ii, jj = _sweep_pairs(lo[:, 0], hi[:, 0])
+    ii, jj = np.minimum(ii, jj), np.maximum(ii, jj)
+    keep = (jj - ii >= 2) & ~((ii == 0) & (jj == n - 1)) & (lo[ii, 1] <= hi[jj, 1]) & (lo[jj, 1] <= hi[ii, 1])
+    return ii[keep], jj[keep]
+
+
+def _segment_boxes(pts):
+    """Each segment's start a, direction d and bounding box [lo, hi]."""
+    b = np.concatenate([pts[1:], pts[:1]])
+    return pts, b - pts, np.minimum(pts, b), np.maximum(pts, b)
+
+
+# a pair list's skin, in sample spacings 2pi/N
+_SKIN = 0.4
+
+
+class _PairList(NamedTuple):
+    """The non-adjacent segment pairs (i, j) of the reference samples
+    `points` whose boxes, each grown by `skin` on every side, meet: a
+    Verlet neighbour list.  A curve whose samples all lie within skin / 2
+    of `points` in each coordinate moves every box edge by at most that
+    much, half what the grown boxes absorb, so any two of its boxes that
+    meet come from a listed pair, rounding included."""
+
+    points: np.ndarray
+    skin: float
+    i: np.ndarray
+    j: np.ndarray
+
+
+def _pair_list(pts) -> _PairList:
+    """The pair list of reference samples pts: the sweep over the boxes
+    grown by the skin."""
+    skin = _SKIN * TWO_PI / len(pts)
+    _, _, lo, hi = _segment_boxes(pts)
+    return _PairList(pts, skin, *_box_pairs(lo - skin, hi + skin))
+
+
+def _segment_intersections(pts: np.ndarray, near: _PairList | None = None):
     """All transversal interior intersections between non-adjacent segments.
 
     Returns arrays (i, j, t, u, point, angle), one entry per intersection
     with parameters in [0, 1) along segments i < j, in (i, j) order, and
     the midpoints of the collinear overlaps of parallel segments, which
-    the narrow phase cannot see.  The broad phase pairs each segment's box
-    with the boxes that meet it in x (`_sweep_pairs`) and keeps the
-    non-adjacent pairs whose boxes also meet in y; the narrow phase tests
-    those pairs in one array pass, and only the hits are sorted.
+    the narrow phase cannot see.  The broad phase takes the pairs whose
+    boxes meet, from the sweep (`_box_pairs`) or, given a pair list `near`
+    that serves pts, from the listed pairs by the same box test; either
+    way the same set of pairs reaches the narrow phase, which tests them
+    in one array pass, and only the hits are sorted.
     """
-    n = len(pts)
-    a = pts
-    b = np.concatenate([pts[1:], pts[:1]])
-    d = b - a
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    ii, jj = _sweep_pairs(lo[:, 0], hi[:, 0])
-    ii, jj = np.minimum(ii, jj), np.maximum(ii, jj)
-    # exclude adjacent pairs and the wrap-adjacent pair (0, n-1); the boxes
-    # meet in x by the sweep and must meet in y
-    keep = (jj - ii >= 2) & ~((ii == 0) & (jj == n - 1)) & (lo[ii, 1] <= hi[jj, 1]) & (lo[jj, 1] <= hi[ii, 1])
-    ii, jj = ii[keep], jj[keep]
+    a, d, lo, hi = _segment_boxes(pts)
+    if near is None:
+        ii, jj = _box_pairs(lo, hi)
+    else:
+        ii, jj = near.i, near.j
+        meet = ((lo[ii] <= hi[jj]) & (lo[jj] <= hi[ii])).all(axis=1)
+        ii, jj = ii[meet], jj[meet]
     di, dj = d[ii], d[jj]
     denom = di[:, 0] * dj[:, 1] - di[:, 1] * dj[:, 0]
     rel = a[jj] - a[ii]
@@ -282,7 +346,7 @@ def _check_vertex_contacts(pts, i, j, t, u, point):
     return sides[1] > 0
 
 
-def detect_crossings(c: ClosedCurve) -> "KnotDiagram":
+def detect_crossings(c: ClosedCurve, parent: "KnotDiagram | None" = None) -> "KnotDiagram":
     """Build the knot diagram of a closed polyline in general position.
 
     Concurrent crossings, tangential intersections, collinear overlaps
@@ -295,10 +359,22 @@ def detect_crossings(c: ClosedCurve) -> "KnotDiagram":
     the same geometry.  The rotation bit `DiagramGraph.left` is the sign
     of the segments' cross product, or the side `_check_vertex_contacts`
     finds.
+
+    A `parent`, the diagram a flow's line-search candidate steps from,
+    changes how the work is done, not its result.  The curve takes its
+    segment pairs from the parent's pair list (`_PairList`) while every
+    sample lies within half the list's skin of the list's reference, and
+    otherwise builds and keeps a list on its own samples.  It reuses the
+    parent's edge layout and walks where they apply (`_build_edges`).
     """
     pts = c.points
     n = c.n
-    i, j, t, u, point, angle, overlap = _segment_intersections(pts)
+    near = None
+    if parent is not None:
+        near = parent.near
+        if near is None or near.points.shape != pts.shape or not np.max(np.abs(pts - near.points)) <= near.skin / 2:
+            near = _pair_list(pts)
+    i, j, t, u, point, angle, overlap = _segment_intersections(pts, near)
     m = len(i)
     if m > 1:
         k, l = _sweep_pairs(point[:, 0] - _POSITION_TOL, point[:, 0] + _POSITION_TOL)
@@ -336,43 +412,61 @@ def detect_crossings(c: ClosedCurve) -> "KnotDiagram":
     point = point[order]
     crossings = [Crossing(pos, tuple(r), angle[k]) for pos, r, k in zip(point, rank, order)]
     first = [rank[x][0] == p for p, x in enumerate(owner)]
-    graph = _build_edges(pts, params, owner, first, point, over_strand, [left[k] for k in order])
-    return KnotDiagram(c, crossings, graph, params, owner, [(i[k], j[k]) for k in order])
+    graph = _build_edges(pts, params, owner, first, point, over_strand, [left[k] for k in order],
+                         None if parent is None else parent.graph)
+    return KnotDiagram(c, crossings, graph, params, owner, [(i[k], j[k]) for k in order], near)
 
 
-def _build_edges(pts, params, owner, first, positions, over_strand, left) -> DiagramGraph:
+def _build_edges(pts, params, owner, first, positions, over_strand, left, parent=None) -> DiagramGraph:
     """The map of the curve: the edge after passage k runs from the out
     slot of its strand to the in slot of passage k + 1's strand, and
     strand 0 is a crossing's first passage (`first`).  Every edge's
     samples, those strictly between its two passages, come from one
     index array, and so do the polylines: the start crossing, the
     samples not within 1e-12 of either end crossing, and the end
-    crossing."""
+    crossing.
+
+    Against a `parent` graph with the same `_Layout`, the polylines are
+    one gather of [pts; positions] at the parent's index array, and the
+    edge ends, `interior_indices` and `slot_edge` are the parent's; the
+    walks are the parent's whenever both are one map."""
     n, m = len(pts), len(params)
     g = DiagramGraph(len(positions), over_strand, left)
     if not m:
-        return g
-    h = TWO_PI / n
-    c1 = owner[1:] + owner[:1]
-    lo = [math.floor(s / h) + 1 for s in params]
-    hi = [math.ceil(s / h) for s in params[1:]] + [n + math.ceil(params[0] / h)]
-    runs = [max(b - a, 0) for a, b in zip(lo, hi)]
-    start = list(accumulate(runs, initial=0))
-    ks = (np.arange(start[-1]) + np.repeat([a - s for a, s in zip(lo, start)], runs)) % n
-    ends = np.repeat(positions[owner + c1].reshape(2, m, 2), runs, axis=1)  # each sample's end crossings
-    gap = pts[ks] - ends
-    keep = (np.hypot(gap[..., 0], gap[..., 1]) > 1e-12).all(axis=0)
-    cut = np.concatenate([[0], np.cumsum(keep)])[start].tolist()
-    ks = ks[keep].tolist()
-    idx = []
-    for k in range(m):
-        idx += [n + owner[k], *ks[cut[k]:cut[k + 1]], n + c1[k]]
-    polylines = np.vstack([pts, positions])[idx]
-    in_slot = [0 if f else 2 for f in first]
-    for k in range(m):
-        stop = cut[k + 1] + 2 * k + 2
-        g.add_edge((owner[k], in_slot[k] + 1), (c1[k], in_slot[(k + 1) % m]),
-                   polylines[cut[k] + 2 * k:stop], tuple(ks[cut[k]:cut[k + 1]]))
+        g.layout = _Layout(owner, first, n, [], [], b"")
+    else:
+        h = TWO_PI / n
+        c1 = owner[1:] + owner[:1]
+        lo = [math.floor(s / h) + 1 for s in params]
+        hi = [math.ceil(s / h) for s in params[1:]] + [n + math.ceil(params[0] / h)]
+        runs = [max(b - a, 0) for a, b in zip(lo, hi)]
+        start = list(accumulate(runs, initial=0))
+        ks = (np.arange(start[-1]) + np.repeat([a - s for a, s in zip(lo, start)], runs)) % n
+        ends = np.repeat(positions[owner + c1].reshape(2, m, 2), runs, axis=1)  # each sample's end crossings
+        gap = pts[ks] - ends
+        keep = (np.hypot(gap[..., 0], gap[..., 1]) > 1e-12).all(axis=0)
+        g.layout = _Layout(owner, first, n, lo, hi, keep.tobytes())
+        if parent is not None and g.layout == parent.layout:
+            idx, bounds = g.gather = parent.gather
+            polylines = np.vstack([pts, positions])[idx]
+            g.edges = [Edge(e[0], e[1], polylines[a:b], e[3]) for e, (a, b) in zip(parent.edges, bounds)]
+            g.slot_edge = parent.slot_edge
+        else:
+            cut = np.concatenate([[0], np.cumsum(keep)])[start].tolist()
+            ks = ks[keep].tolist()
+            idx = []
+            for k in range(m):
+                idx += [n + owner[k], *ks[cut[k]:cut[k + 1]], n + c1[k]]
+            bounds = [(cut[k] + 2 * k, cut[k + 1] + 2 * k + 2) for k in range(m)]
+            idx = np.array(idx)
+            g.gather = idx, bounds
+            polylines = np.vstack([pts, positions])[idx]
+            in_slot = [0 if f else 2 for f in first]
+            for k, (a, b) in enumerate(bounds):
+                g.add_edge((owner[k], in_slot[k] + 1), (c1[k], in_slot[(k + 1) % m]),
+                           polylines[a:b], tuple(ks[cut[k]:cut[k + 1]]))
+    if parent is not None and g.same_map(parent):
+        g.walks = parent.walks
     return g
 
 
@@ -387,6 +481,7 @@ class KnotDiagram:
         passage_params: list[float],
         passage_crossing: list[int],
         crossing_segments: list,
+        near: _PairList | None = None,
     ):
         self.curve = curve
         self.crossings = crossings
@@ -394,6 +489,7 @@ class KnotDiagram:
         self.passage_params = passage_params
         self.passage_crossing = passage_crossing
         self.crossing_segments = crossing_segments
+        self.near = near  # the pair list detection used, if it had a parent
 
     @property
     def n_crossings(self) -> int:
@@ -414,9 +510,8 @@ class KnotDiagram:
         are shared; a census is kept per labelling."""
         graph = copy.copy(self.graph)
         graph.over_strand = [0 if fo else 1 for _, fo in zip(self.crossings, first_over, strict=True)]
-        return KnotDiagram(
-            self.curve, self.crossings, graph, self.passage_params, self.passage_crossing, self.crossing_segments
-        )
+        return KnotDiagram(self.curve, self.crossings, graph, self.passage_params, self.passage_crossing,
+                           self.crossing_segments, self.near)
 
     def scaled(self, s: float) -> "KnotDiagram":
         return detect_crossings(self.curve.scaled(s)).relabelled(self.first_over)
@@ -448,9 +543,14 @@ class KnotDiagram:
             tuple(g.over_strand),
             # the limit read now: the search's default was bound at import
             lambda: tuple(enumerate_cycles_graph(g, max_cycles=DEFAULT_CYCLE_LIMIT)),
-            lambda cy: DiagramCycle(cy.edge_ids, cy.orientations, cy.n_arcs, cy.alternated,
-                                    abs(_walk_area(g, tuple(zip(cy.edge_ids, cy.orientations)))), g.edges),
+            self._remeasured,
         )
+
+    def _remeasured(self, cy: DiagramCycle) -> DiagramCycle:
+        """A cycle of this map with its area taken on this diagram's lobes."""
+        g = self.graph
+        return DiagramCycle(cy.edge_ids, cy.orientations, cy.n_arcs, cy.alternated,
+                            abs(_walk_area(g, tuple(zip(cy.edge_ids, cy.orientations)))), g.edges)
 
     @cached_property
     def _faces(self) -> tuple:
@@ -609,7 +709,9 @@ def _critical_cycles(d: KnotDiagram, delta: float, arc_cap: int | None = None) -
     of area < delta and each of its edges borders one of them.  It finds
     each such cycle once, from its least edge id along the same darts as
     the census, and either way one filter keeps the cycles of area < delta
-    after the search, so both give the same cycles, areas and order.
+    after the search, so both give the same cycles, areas and order.  The
+    search runs once per map, labelling, low-face edge set and arc cap
+    (`_walked`); another diagram with that key re-measures the areas.
     """
     if delta is None or not delta > 0:
         raise ValueError("delta must be positive")
@@ -622,7 +724,9 @@ def _critical_cycles(d: KnotDiagram, delta: float, arc_cap: int | None = None) -
         for i, (edge_ids, area, _) in enumerate(faces):
             if i != outer and abs(area) < delta:
                 low |= edge_ids
-        found = enumerate_cycles_graph(d.graph, arc_cap=arc_cap, edge_subset=low)
+        g = d.graph
+        found = d._walked((tuple(g.over_strand), frozenset(low), arc_cap),
+                          lambda: tuple(enumerate_cycles_graph(g, arc_cap=arc_cap, edge_subset=low)), d._remeasured)
     return [cy for cy in found if cy.area < delta and (arc_cap is None or cy.n_arcs <= arc_cap)]
 
 

@@ -18,11 +18,16 @@ carries its U_f value and its resistance breakdown, taken by
 next frozen set.  Each line-search candidate's crossings are matched
 once to the current ones; over/under data is inherited along that
 match, and the accepted candidate's census change is judged on it:
-R2 / R3, or FORBIDDEN, which aborts the flow.  Between those events the
-map is frozen: a candidate with its parent's map shares the parent's
-census and faces and only re-measures their areas, and each iterate's
-lift keeps the cos/sin of its re-close and takes its trapezoid points,
-closure basis and curvature once for every use.
+R2 / R3, or FORBIDDEN, which aborts the flow.  Each candidate is
+detected against the iterate it steps from: it reuses that iterate's
+segment pair list while it stays within half the list's skin, and its
+edge layout while every passage keeps its sample range, and otherwise
+falls back to a fresh sweep or edge table, with the same result.
+Between events the map is frozen: a candidate with its parent's map
+shares the parent's census, faces and delta-critical searches and only
+re-measures their areas, and each iterate's lift keeps the cos/sin of
+its re-close and takes its trapezoid points, closure basis and
+curvature once for every use.
 """
 
 from __future__ import annotations
@@ -138,6 +143,13 @@ class _Iterate:
         return self.u + self.resistance.total
 
 
+def _check_positive_finite(name: str, x) -> None:
+    """ValueError unless x is a real number, not a bool, with 0 < x < inf
+    (NaN fails too)."""
+    if isinstance(x, bool) or not isinstance(x, Real) or not 0 < x < np.inf:
+        raise ValueError(f"{name} must be a real number with 0 < {name} < inf")
+
+
 def _measure(g: GaussRep, diagram: KnotDiagram, cfg: FlowConfig, match=None) -> _Iterate:
     return _Iterate(g, diagram, energy_uf(g, cfg.functional), resistance(diagram, cfg.resistance, cfg.delta), match)
 
@@ -238,12 +250,19 @@ def _inherited_rule(prev: KnotDiagram, curve: ClosedCurve):
     is returned with the diagram as (pairs, radius): the event verdict of
     the step reads the same pairs.  Matched crossings keep their overpass
     strand; unmatched new crossings put the earlier passage on top, which
-    is the consistent choice for an R2 pair.  Between Reidemeister events
-    the map stays prev's, and the diagram shares prev's walks: the census
-    of a labelling is searched and the faces are walked once per map.
+    is the consistent choice for an R2 pair.
+
+    Detection runs against prev, `detect_crossings(curve, prev)`, with
+    the result of a fresh one: the candidate tests prev's segment pair
+    list while it lies within half the list's skin, and gathers its edge
+    polylines at prev's index array, sharing prev's edge ends, interior
+    samples and slot table, while every passage keeps its crossing,
+    first-passage flag and sample range.  Otherwise it builds its own
+    list or edge table.  Between Reidemeister events the map stays
+    prev's, and the diagram shares prev's walks: the census of a
+    labelling is searched and the faces are walked once per map.
     """
-    base = detect_crossings(curve)
-    base.graph.share_walks(prev.graph)
+    base = detect_crossings(curve, prev)
     radius = max(5.0 * float(np.max(np.hypot(*(curve.points - prev.curve.points).T))), 1e-3)
     pairs = _match_crossings(prev, base, radius)
     rule, prev_over = [True] * base.n_crossings, prev.first_over
@@ -374,8 +393,10 @@ def flow_step(c: ClosedCurve, cfg: FlowConfig, step: float, diagram: KnotDiagram
     iterate `relax` would start from; returns (new curve, accepted step).
 
     Energy is non-increasing (Armijo factor 1e-4); a step underflow below
-    1e-12 raises StalledError("stalled").
+    1e-12 raises StalledError("stalled").  A `step` that is not a real
+    number in (0, inf), as `FlowConfig.step0` must be, raises ValueError.
     """
+    _check_positive_finite("step", step)
     x = _start(c, cfg, diagram)
     y, s, _ = _step_from_alpha(x, _projected_gradient(x, cfg), cfg, step)
     return y.diagram.curve, s
@@ -409,8 +430,10 @@ def classify_event(before: KnotDiagram, after: KnotDiagram, radius: float = 0.1)
     a mutually close unmatched pair are R2 moves; an unchanged census
     whose passage order changed across a cluster of three crossings is an
     R3; everything else (including +-1 loop events and crossing-type
-    flips) is FORBIDDEN.
+    flips) is FORBIDDEN.  A `radius` that is not a real number in
+    (0, inf) raises ValueError.
     """
+    _check_positive_finite("radius", radius)
     return _verdict(before, after, _match_crossings(before, after, radius), radius)
 
 

@@ -397,22 +397,54 @@ def subdivided(poly, k):
     return (p[:, None] + s * (q - p)[:, None]).reshape(-1, 2)
 
 
-def flow_curves(monkeypatch):
-    """Every curve the two benchmark flows detect at seed 1: iterates and
-    line-search candidates."""
+FLOWS = ["RelaxEight-1", "RelaxEight-2", "RelaxReTrefoil-1", "RelaxReTrefoil-2",
+         "pool2-none", "pool9-none", "pool1-MRE", "adversarial"]
+
+
+def flow_input(name):
+    """The start curve and config of a named flow: the benchmark's relax
+    workloads at a seed, the event flows of test_flow.py (random immersed
+    curves, seed 77, N = 256, whose R2 and R3 moves change the map), and
+    the adversarial flow, which ends FORBIDDEN."""
+    from flatknot import flow
+    from flatknot.fixtures import collapse_functional
+
+    kind, _, arg = name.partition("-")
+    if kind.startswith("Relax"):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        w = getattr(workloads, kind)(int(arg))
+        return w.make_input(), w.cfg
+    if kind == "adversarial":
+        return limacon_curve(inner=2.0, n=256), flow.FlowConfig(
+            functional=collapse_functional(), resistance="none", delta=0.05, grad_tol=1e-6)
+    c0 = random_immersed_curves(12, seed=77, n=256)[int(kind[4:])][0]
+    return c0, flow.FlowConfig(resistance=arg, delta=0.2, step0=1e-4, grad_tol=1e-4, max_iters=150)
+
+
+def flow_detections(name, monkeypatch):
+    """Every detection a flow makes, as (curve, parent, the record or the
+    error, the diagram or None)."""
     from flatknot import flow
 
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
-    try:
-        from workloads import RelaxEight, RelaxReTrefoil
-    finally:
-        sys.path.pop(0)
-    curves = []
+    seen = []
     detect = flow.detect_crossings
-    monkeypatch.setattr(flow, "detect_crossings", lambda c: curves.append(c) or detect(c))
-    for w in (RelaxEight(1), RelaxReTrefoil(1)):
-        flow.relax(w.make_input(), w.cfg)
-    return curves
+
+    def spy(c, parent=None):
+        try:
+            d = detect(c, parent)
+        except CodimensionOneError as exc:
+            seen.append((c, parent, (type(exc), np.asarray(exc.location, dtype=float).tobytes()), None))
+            raise
+        seen.append((c, parent, detection_record(d), d))
+        return d
+
+    monkeypatch.setattr(flow, "detect_crossings", spy)
+    flow.relax(*flow_input(name))
+    return seen
 
 
 class TestDetectionMatchesOracle:
@@ -429,10 +461,62 @@ class TestDetectionMatchesOracle:
             assert detected_or_error(detect_crossings, c) == detected_or_error(detect_crossings_oracle, c)
 
     def test_flow_iterates_and_candidates(self, monkeypatch):
-        curves = flow_curves(monkeypatch)
-        assert len(curves) > 178
-        for c in curves:
-            assert detected_or_error(detect_crossings, c) == detected_or_error(detect_crossings_oracle, c)
+        """Every curve the benchmark flows at seed 1 and the event flows
+        detect, each line-search candidate against its parent: the same
+        record, or error, as a detection without a parent and as the
+        oracle.  Some candidate takes its parent's edge layout, sharing
+        the edges' interior samples, some builds its edge table anew
+        (`_build_edges`' fallback), and some rebuilds the pair list on
+        its own samples."""
+        reused = fresh_edges = rebuilt = 0
+        for name in FLOWS:
+            if name.endswith("-2"):
+                continue
+            seen = flow_detections(name, monkeypatch)
+            assert len(seen) > 17, name
+            for c, parent, got, d in seen:
+                assert got == detected_or_error(detect_crossings, c) == detected_or_error(detect_crossings_oracle, c)
+                if d is None or parent is None:
+                    continue
+                if d.graph.slot_edge is parent.graph.slot_edge:
+                    reused += 1
+                    assert all(e.interior_indices is f.interior_indices
+                               for e, f in zip(d.graph.edges, parent.graph.edges, strict=True))
+                elif d.n_crossings:
+                    fresh_edges += 1
+                if d.near is not parent.near:
+                    rebuilt += 1
+                    assert d.near.points is c.points
+        assert min(reused, fresh_edges, rebuilt) > 0
+
+    def test_within_half_the_skin(self):
+        """A curve moved by less than half the skin keeps its parent's pair
+        list and finds the crossings the move made: the spike stops 0.1
+        below the top edge on the reference and rises 0.15 through it,
+        within half the skin of 0.4 * 2pi / 8 = 0.31."""
+        spike = np.array([(0, 0), (4, 0), (4, 3), (0, 3), (0, 1), (1.9, 1), (2.0, 2.9), (2.1, 1)], dtype=float)
+        ref = ClosedCurve(spike, 1.0)
+        parent = detect_crossings(ref, detect_crossings(ref))
+        lift = np.zeros_like(spike)
+        lift[6, 1] = 0.15
+        moved = ClosedCurve(spike + lift, 1.0)
+        d = detect_crossings(moved, parent)
+        assert (parent.n_crossings, d.n_crossings) == (0, 2) and d.near is parent.near
+        assert detection_record(d) == detection_record(detect_crossings(moved))
+
+    def test_moved_past_half_the_skin(self):
+        """A curve moved by more than half the skin builds its own pair
+        list, and so finds the two crossings of the bigon that the stale
+        list misses."""
+        crossed, clear = bigon_pair()
+        parent = detect_crossings(clear, detect_crossings(clear))
+        near = parent.near
+        assert near is not None and near.points is clear.points
+        assert np.max(np.abs(crossed.points - clear.points)) > near.skin / 2
+        assert len(_segment_intersections(crossed.points, near)[0]) < 2
+        d = detect_crossings(crossed, parent)
+        assert d.near is not near and d.n_crossings == 2
+        assert detection_record(d) == detection_record(detect_crossings(crossed))
 
     def test_degenerate_inputs(self):
         cases = {
@@ -627,7 +711,9 @@ class TestSearchMatchesOracle:
         search = diagram_module.enumerate_cycles_graph
         monkeypatch.setattr(diagram_module, "enumerate_cycles_graph",
                             lambda *a, **kw: calls.append((a, kw)) or search(*a, **kw))
-        diagrams = census_pools[:17] + [detect_crossings(c) for c, _ in random_immersed_curves(11, seed=77, n=200)]
+        # fresh diagrams: the pools' own keep their searches across deltas
+        curves = [d.curve for d in census_pools[:17]] + [c for c, _ in random_immersed_curves(11, seed=77, n=200)]
+        diagrams = [detect_crossings(c) for c in curves]
         for d in diagrams:
             mre(d, delta)
             gmre(d, delta)
@@ -785,18 +871,18 @@ class TestSharedCensus:
     def test_mirror_image_is_another_map(self):
         """A mirror image passes the crossings in the same order, so every
         edge joins the same two ends, but its rotation system is flipped:
-        it shares no walks, and its faces run the other way round."""
+        detected against the original, it shares no walks, and its faces
+        run the other way round."""
         d = detect_crossings(trefoil_curve(256))
-        mirror = detect_crossings(ClosedCurve(d.curve.points * [1.0, -1.0], d.curve.length))
+        diagram_faces(d)
+        mirror = detect_crossings(ClosedCurve(d.curve.points * [1.0, -1.0], d.curve.length), d)
         assert [e[:2] for e in mirror.graph.edges] == [e[:2] for e in d.graph.edges]
         assert mirror.graph.left == [not b for b in d.graph.left]
-        diagram_faces(d)
-        mirror.graph.share_walks(d.graph)
+        assert not mirror.graph.same_map(d.graph) and d.graph.same_map(d.relabelled(d.first_over).graph)
         assert mirror.graph.walks is not d.graph.walks
         assert walk_records(mirror) == walk_records(detect_crossings(mirror.curve))
 
-    @pytest.mark.parametrize("name", ["RelaxEight-1", "RelaxEight-2", "RelaxReTrefoil-1", "RelaxReTrefoil-2",
-                                      "pool2-none", "pool9-none", "pool1-MRE", "adversarial"])
+    @pytest.mark.parametrize("name", FLOWS)
     def test_flow_candidates_match_fresh_diagrams(self, name, monkeypatch):
         """Every line-search candidate's census and faces, read through the
         walks it shares with its parent's map, against those of a fresh
@@ -804,23 +890,8 @@ class TestSharedCensus:
         order, areas bit for bit.  The inputs are the benchmark's flows
         and the event flows of test_flow.py, which change the map."""
         from flatknot import flow
-        from flatknot.fixtures import collapse_functional
 
-        kind, _, arg = name.partition("-")
-        if kind.startswith("Relax"):
-            sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
-            try:
-                import workloads
-            finally:
-                sys.path.pop(0)
-            w = getattr(workloads, kind)(int(arg))
-            c0, cfg = w.make_input(), w.cfg
-        elif kind == "adversarial":
-            c0 = limacon_curve(inner=2.0, n=256)
-            cfg = flow.FlowConfig(functional=collapse_functional(), resistance="none", delta=0.05, grad_tol=1e-6)
-        else:
-            c0 = random_immersed_curves(12, seed=77, n=256)[int(kind[4:])][0]
-            cfg = flow.FlowConfig(resistance=arg, delta=0.2, step0=1e-4, grad_tol=1e-4, max_iters=150)
+        c0, cfg = flow_input(name)
         shared = []
 
         def spy(prev, curve, inherited=flow._inherited_rule):
@@ -834,7 +905,7 @@ class TestSharedCensus:
         monkeypatch.setattr(flow, "_inherited_rule", spy)
         flow.relax(c0, cfg)
         assert any(shared)
-        assert kind.startswith("Relax") or not all(shared)
+        assert name.startswith("Relax") or not all(shared)
 
     def test_census_op_takes_each_lobe_once(self, monkeypatch):
         calls = []

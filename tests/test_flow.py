@@ -241,9 +241,9 @@ class TestInheritedRule:
     def test_detects_once(self, trefoil_diagram, monkeypatch):
         calls = []
 
-        def counted(c):
+        def counted(c, parent=None):
             calls.append(c)
-            return detect_crossings(c)
+            return detect_crossings(c, parent)
 
         monkeypatch.setattr(flow, "detect_crossings", counted)
         prev = trefoil_diagram.relabelled([True] * 3)
@@ -318,6 +318,15 @@ class TestFlowStep:
         for diagram in (None, d):
             c1, _ = flow_step(c, cfg, cfg.step0, diagram)
             assert np.array_equal(c1.points, frames[1].points)
+
+    @pytest.mark.parametrize("step", [np.inf, np.nan, 0.0, -1.0, True, "1e-4", None])
+    def test_rejects_step_outside_zero_to_inf(self, step, monkeypatch):
+        """A step that is not a real number in (0, inf) is a ValueError
+        before any work: inf would halve to itself forever, and NaN, 0 or
+        a negative step would end as if the line search had stalled."""
+        monkeypatch.setattr(flow, "_start", lambda *a: pytest.fail("flow_step started a flow"))
+        with pytest.raises(ValueError, match="step must be"):
+            flow_step(circle_curve(64), FlowConfig(resistance="none"), step)
 
     def test_perturbed_infinity_gradient_drops(self):
         cfg = FlowConfig(resistance="none", step0=1e-4, grad_tol=1e-12, max_iters=200)
@@ -405,6 +414,15 @@ class TestClassify:
         )
         assert ev.kind == "R2_vanish"
         assert ev.crossing_delta == -2
+
+    @pytest.mark.parametrize("radius", [np.nan, 0.0, -1.0, np.inf, True, "0.1"])
+    def test_rejects_radius_that_is_not_positive_finite(self, radius):
+        """With radius NaN every reach test is false and every pair would
+        match, so the R2 below would read FORBIDDEN; 0 and -1 would too."""
+        before, after = (detect_crossings(c) for c in bigon_pair())
+        with pytest.raises(ValueError, match="radius must be"):
+            classify_event(before, after, radius)
+        assert classify_event(before, after, 1.0).kind == "R2_vanish"
 
     def test_r2_appear(self):
         with_bigon, without = bigon_pair()
