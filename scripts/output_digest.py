@@ -9,7 +9,11 @@ same lines produce the same bits:
 - relax of the third random immersed curve (seed 77, 256 samples) under
   MRE (delta = 0.2) for 40 iterates, which makes eight R2 events;
 - census, RE, MRE and GMRE (delta = 0.2) of twelve random immersed curves
-  (seed 77, 256 samples).
+  (seed 77, 256 samples);
+- the SVG of the 256-sample trefoil's diagram and of the third of those
+  random curves;
+- the grid-graph cycle counts G(n) and the woven-lattice alternated counts
+  G*(n), n = 1..6.
 
 Usage: python scripts/output_digest.py > digest.txt, on each version, then
 diff the two files.
@@ -21,9 +25,11 @@ import hashlib
 import numpy as np
 
 from flatknot import verify
-from flatknot.diagram import enumerate_cycles, gmre, mre, resistance_energy
+from flatknot.diagram import detect_crossings, enumerate_cycles, gmre, mre, resistance_energy
 from flatknot.fixtures import random_immersed_curves, trefoil_curve
 from flatknot.flow import FlowConfig, relax
+from flatknot.lattice import grid_cycle_count, gstar_alternated_count
+from flatknot.svg import diagram_svg
 
 
 def _exact(x):
@@ -62,3 +68,9 @@ for k, (_, d) in enumerate(random_curves):
     _line(f"random{k} RE", resistance_energy(d))
     _line(f"random{k} MRE", mre(d, 0.2))
     _line(f"random{k} GMRE", gmre(d, 0.2))
+
+_line("trefoil svg", diagram_svg(detect_crossings(trefoil_curve(256))))
+_line("random2 svg", diagram_svg(random_curves[2][1]))
+for n in range(1, 7):
+    _line(f"G({n})", grid_cycle_count(n))
+    _line(f"G*({n})", gstar_alternated_count(n))

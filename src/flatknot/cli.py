@@ -62,16 +62,8 @@ def _functional(name: str):
 
 
 def cmd_pendulum(args) -> int:
-    if args.r % 2 != 0:
-        print(
-            f"error: r = {args.r} is odd; the sin closure integral equals "
-            "2 alpha'(0)/omega^2 != 0, so no closed curve exists",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    xi = find_critical_xi(args.r)
-    print(f"xi = {xi:.12f}")
-    curve = build_infinity_curve(args.r, args.n)
+    curve = build_infinity_curve(args.r, args.n)  # an odd r raises ParityObstructionError
+    print(f"xi = {find_critical_xi(args.r):.12f}")
     rep = closure_report(gauss_from_curve(curve))
     print(
         f"closure: cos integral {rep.cos_integral:.3e}, sin integral "
@@ -86,26 +78,13 @@ def cmd_pendulum(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    try:
-        diagram = diagram_from_json(load_json(args.input))
-    except CodimensionOneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    try:
-        if args.family != "U":
-            report = breakdown_to_json(resistance(diagram, args.family, args.delta))
-        else:
-            e = _functional(args.f)
-            g = gauss_from_curve(diagram.curve)
-            report = energy_report_json(
-                e.name, energy_uf(g, e), gradient_norm(g, uf_gradient(g, e)), el_residual(g, e)
-            )
-    except SingularDiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except CycleExplosionError as exc:
-        print(f"error: {exc} (partial count {exc.partial_count})", file=sys.stderr)
-        return EXIT_EXPLOSION
+    diagram = diagram_from_json(load_json(args.input))
+    if args.family != "U":
+        report = breakdown_to_json(resistance(diagram, args.family, args.delta))
+    else:
+        e = _functional(args.f)
+        g = gauss_from_curve(diagram.curve)
+        report = energy_report_json(e.name, energy_uf(g, e), gradient_norm(g, uf_gradient(g, e)), el_residual(g, e))
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
@@ -132,9 +111,6 @@ def cmd_cycles(args) -> int:
             file=sys.stderr,
         )
         return EXIT_EXPLOSION
-    except CodimensionOneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
 
 
 def cmd_relax(args) -> int:
@@ -249,6 +225,12 @@ def main(argv=None) -> int:
         parser.error("cycles needs --diagram, --grid or --gstar")
     try:
         return args.fn(args)
+    except (CodimensionOneError, SingularDiagramError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR
+    except CycleExplosionError as exc:
+        print(f"error: {exc} (partial count {exc.partial_count})", file=sys.stderr)
+        return EXIT_EXPLOSION
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

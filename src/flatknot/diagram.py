@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
@@ -52,7 +52,6 @@ class Edge(NamedTuple):
     end0: tuple[int, int] | None
     end1: tuple[int, int] | None
     points: np.ndarray  # polyline including both endpoints
-    interior_indices: tuple[int, ...] = ()  # curve sample indices strictly inside
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,10 +96,12 @@ class DiagramGraph:
     counter-clockwise, else 1, 2, 0, 3.  Detection sets both once, and
     the face walk reads `left`.
 
-    Detection also records `layout` (`_Layout`), how the edge table is
-    cut from the curve, and `gather`, the index array and per-edge bounds
-    that cut it, which a candidate with the same layout reuses
-    (`_build_edges`).
+    Detection records how it cuts the curve: `walk` indexes
+    [samples; crossing positions] with, per edge in passage order, n + its
+    start crossing and its kept samples, then `walk[0]` again; edge k is
+    `walk[starts[k] : starts[k + 1] + 1]`, `starts[-1] = len(walk) - 1`.
+    A crossing-free curve is one edge, samples 0..n-1 and 0.  A candidate
+    with its parent's `layout` (`_Layout`) reuses both (`_build_edges`).
 
     `walks` holds the walks of the map as first found, shared by every
     graph of the same map (`same_map`): under "faces" the faces, under
@@ -118,11 +119,12 @@ class DiagramGraph:
         self.slot_edge: list[dict] = [dict() for _ in range(n_crossings)]
         self.walks: dict = {}
         self.layout: _Layout | None = None
-        self.gather: tuple | None = None
+        self.walk: np.ndarray | None = None
+        self.starts: list | None = None
 
-    def add_edge(self, end0, end1, points, interior_indices=()) -> int:
+    def add_edge(self, end0, end1, points) -> int:
         eid = len(self.edges)
-        self.edges.append(Edge(end0, end1, np.asarray(points, dtype=float), interior_indices))
+        self.edges.append(Edge(end0, end1, np.asarray(points, dtype=float)))
         for c, s in (end0, end1):
             if s in self.slot_edge[c]:
                 raise ValueError(f"slot {s} of crossing {c} already wired")
@@ -139,22 +141,22 @@ class DiagramGraph:
 
     def same_map(self, other: "DiagramGraph") -> bool:
         """Whether both detected graphs are one map: the same crossing
-        passed at every passage, the same first passages, and the same
-        rotation bits.  The passages fix every edge's two ends."""
+        passed at every passage and the same rotation bits.  Crossings are
+        numbered in order of first passage, so the passages fix which of
+        them are first passages, and with them every edge's two ends."""
         a, b = self.layout, other.layout
-        return a is not None and b is not None and (a.owner, a.first, self.left) == (b.owner, b.first, other.left)
+        return a is not None and b is not None and (a.owner, self.left) == (b.owner, other.left)
 
 
 class _Layout(NamedTuple):
     """How detection cuts a map's edge table from its curve of `n`
-    samples.  Per passage in order: the crossing passed (`owner`), whether
-    it is that crossing's first passage (`first`), and the first and
-    past-last sample index of the edge after it (`lo`, `hi`); `keep` is
-    the bytes of the mask of those samples not within 1e-12 of their
-    edge's two end crossings."""
+    samples.  Per passage in order: the crossing passed (`owner`; passage
+    p is a first passage exactly when `owner[p]` is not in `owner[:p]`),
+    and the first and past-last sample index of the edge after it (`lo`,
+    `hi`); `keep` is the bytes of the mask of those samples not within
+    1e-12 of their edge's two end crossings."""
 
     owner: list
-    first: list
     n: int
     lo: list
     hi: list
@@ -422,18 +424,19 @@ def _build_edges(pts, params, owner, first, positions, over_strand, left, parent
     slot of its strand to the in slot of passage k + 1's strand, and
     strand 0 is a crossing's first passage (`first`).  Every edge's
     samples, those strictly between its two passages, come from one
-    index array, and so do the polylines: the start crossing, the
-    samples not within 1e-12 of either end crossing, and the end
-    crossing.
+    index array; the samples not within 1e-12 of either end crossing
+    are kept, and one insert of the start crossings makes `walk`.  The
+    polylines are one gather of [pts; positions] at `walk`, sliced at
+    `starts`.
 
-    Against a `parent` graph with the same `_Layout`, the polylines are
-    one gather of [pts; positions] at the parent's index array, and the
-    edge ends, `interior_indices` and `slot_edge` are the parent's; the
-    walks are the parent's whenever both are one map."""
+    Against a `parent` graph with the same `_Layout`, `walk`, `starts`,
+    the edge ends and `slot_edge` are the parent's; the walks are the
+    parent's whenever both are one map."""
     n, m = len(pts), len(params)
     g = DiagramGraph(len(positions), over_strand, left)
     if not m:
-        g.layout = _Layout(owner, first, n, [], [], b"")
+        g.layout = _Layout(owner, n, [], [], b"")
+        g.walk, g.starts = np.arange(n + 1) % n, [0, n]
     else:
         h = TWO_PI / n
         c1 = owner[1:] + owner[:1]
@@ -445,51 +448,36 @@ def _build_edges(pts, params, owner, first, positions, over_strand, left, parent
         ends = np.repeat(positions[owner + c1].reshape(2, m, 2), runs, axis=1)  # each sample's end crossings
         gap = pts[ks] - ends
         keep = (np.hypot(gap[..., 0], gap[..., 1]) > 1e-12).all(axis=0)
-        g.layout = _Layout(owner, first, n, lo, hi, keep.tobytes())
+        g.layout = _Layout(owner, n, lo, hi, keep.tobytes())
         if parent is not None and g.layout == parent.layout:
-            idx, bounds = g.gather = parent.gather
-            polylines = np.vstack([pts, positions])[idx]
-            g.edges = [Edge(e[0], e[1], polylines[a:b], e[3]) for e, (a, b) in zip(parent.edges, bounds)]
+            g.walk, g.starts = parent.walk, parent.starts
+            verts = np.vstack([pts, positions])[g.walk]
+            g.edges = [Edge(e.end0, e.end1, verts[a:b + 1]) for e, a, b in zip(parent.edges, g.starts, g.starts[1:])]
             g.slot_edge = parent.slot_edge
         else:
-            cut = np.concatenate([[0], np.cumsum(keep)])[start].tolist()
-            ks = ks[keep].tolist()
-            idx = []
-            for k in range(m):
-                idx += [n + owner[k], *ks[cut[k]:cut[k + 1]], n + c1[k]]
-            bounds = [(cut[k] + 2 * k, cut[k + 1] + 2 * k + 2) for k in range(m)]
-            idx = np.array(idx)
-            g.gather = idx, bounds
-            polylines = np.vstack([pts, positions])[idx]
+            cut = np.concatenate([[0], np.cumsum(keep)])[start]
+            walk = np.insert(ks[keep], cut[:-1], n + np.asarray(owner))
+            g.walk, g.starts = np.append(walk, walk[0]), (cut + np.arange(m + 1)).tolist()
+            verts = np.vstack([pts, positions])[g.walk]
             in_slot = [0 if f else 2 for f in first]
-            for k, (a, b) in enumerate(bounds):
-                g.add_edge((owner[k], in_slot[k] + 1), (c1[k], in_slot[(k + 1) % m]),
-                           polylines[a:b], tuple(ks[cut[k]:cut[k + 1]]))
+            for k, (a, b) in enumerate(zip(g.starts, g.starts[1:])):
+                g.add_edge((owner[k], in_slot[k] + 1), (c1[k], in_slot[(k + 1) % m]), verts[a:b + 1])
     if parent is not None and g.same_map(parent):
         g.walks = parent.walks
     return g
 
 
+@dataclass(eq=False, repr=False)
 class KnotDiagram:
     """Immersed closed curve with over/under data at each crossing."""
 
-    def __init__(
-        self,
-        curve: ClosedCurve,
-        crossings: list[Crossing],
-        graph: DiagramGraph,
-        passage_params: list[float],
-        passage_crossing: list[int],
-        crossing_segments: list,
-        near: _PairList | None = None,
-    ):
-        self.curve = curve
-        self.crossings = crossings
-        self.graph = graph
-        self.passage_params = passage_params
-        self.passage_crossing = passage_crossing
-        self.crossing_segments = crossing_segments
-        self.near = near  # the pair list detection used, if it had a parent
+    curve: ClosedCurve
+    crossings: list[Crossing]
+    graph: DiagramGraph
+    passage_params: list[float]
+    passage_crossing: list[int]
+    crossing_segments: list
+    near: _PairList | None = None  # the pair list detection used, if it had a parent
 
     @property
     def n_crossings(self) -> int:
@@ -510,8 +498,7 @@ class KnotDiagram:
         are shared; a census is kept per labelling."""
         graph = copy.copy(self.graph)
         graph.over_strand = [0 if fo else 1 for _, fo in zip(self.crossings, first_over, strict=True)]
-        return KnotDiagram(self.curve, self.crossings, graph, self.passage_params, self.passage_crossing,
-                           self.crossing_segments, self.near)
+        return replace(self, graph=graph)
 
     def scaled(self, s: float) -> "KnotDiagram":
         return detect_crossings(self.curve.scaled(s)).relabelled(self.first_over)
@@ -609,7 +596,7 @@ def enumerate_cycles_graph(
     found: list[DiagramCycle] = []
 
     for anchor in sorted(allowed, reverse=True):
-        end0, end1, _, _ = g.edges[anchor]
+        end0, end1, _ = g.edges[anchor]
         c_home, s_home = end0
         home = [passing(c_home, s_in, s_home) for s_in in range(4)]
         exits = joined[c_home] & ~(1 << c_home)

@@ -191,11 +191,10 @@ def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
     t = _cross(c - a, d2) / denom
     u = _cross(c - a, d1) / denom
     verts = np.vstack([pts, a + t[:, None] * d1])
-    # the walk, edge by edge in passage order: start crossing, interior samples
-    runs = [(n + end0[0], *inner) for end0, _, _, inner in d.graph.edges] or [range(n)]
-    size = np.array([len(r) for r in runs])
-    walk = np.fromiter(chain.from_iterable(runs), int, size.sum())
-    first, edge = np.cumsum(size) - size, np.repeat(np.arange(len(runs)), size)
+    # the walk, edge by edge in passage order: start crossing, kept samples
+    walk, starts = d.graph.walk[:-1], np.array(d.graph.starts)
+    first, size = starts[:-1], np.diff(starts)
+    edge = np.repeat(np.arange(len(first)), size)
     p = verts[walk]
     seg = np.roll(p, -1, axis=0) - p
     # areas regrouped as in diagram._walk_area: edge lobes plus corner polygon
@@ -209,7 +208,7 @@ def _resistance_gradient(g: GaussRep, d: KnotDiagram, bd: EnergyBreakdown):
     area = np.bincount(cyc, o * lobe[eid] + _cross(np.roll(corner, 1, axis=0), corner) / 2)
     if not np.all(np.abs(area) > 1e-12):
         raise SingularDiagramError("singular diagram: zero-area frozen cycle")
-    w = np.bincount(eid, o * (-np.sign(area) / area**2)[cyc], len(runs))
+    w = np.bincount(eid, o * (-np.sign(area) / area**2)[cyc], len(first))
     f = (0.5 * w[edge])[:, None] * np.column_stack([seg[:, 1], -seg[:, 0]])
     f += np.roll(f, 1, axis=0)
     cot = np.column_stack([np.bincount(walk, f[:, k], len(verts)) for k in (0, 1)])
@@ -255,12 +254,12 @@ def _inherited_rule(prev: KnotDiagram, curve: ClosedCurve):
     Detection runs against prev, `detect_crossings(curve, prev)`, with
     the result of a fresh one: the candidate tests prev's segment pair
     list while it lies within half the list's skin, and gathers its edge
-    polylines at prev's index array, sharing prev's edge ends, interior
-    samples and slot table, while every passage keeps its crossing,
-    first-passage flag and sample range.  Otherwise it builds its own
-    list or edge table.  Between Reidemeister events the map stays
-    prev's, and the diagram shares prev's walks: the census of a
-    labelling is searched and the faces are walked once per map.
+    polylines at prev's closed walk through the crossings, sharing that
+    walk, the edge ends and the slot table, while every passage keeps its
+    crossing and sample range.  Otherwise it builds its own list or edge
+    table.  Between Reidemeister events the map stays prev's, and the
+    diagram shares prev's walks: the census of a labelling is searched
+    and the faces are walked once per map.
     """
     base = detect_crossings(curve, prev)
     radius = max(5.0 * float(np.max(np.hypot(*(curve.points - prev.curve.points).T))), 1e-3)

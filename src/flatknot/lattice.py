@@ -41,23 +41,14 @@ def _loop_count(n: int, odd_runs: bool) -> int:
     rows = cols = n + 1
     width = cols + 1  # plugs: verticals per column plus one horizontal
 
-    def match_right(state, pos):
-        depth = 0
-        for t in range(pos + 1, width):
-            if state[t] & 3 == 1:
+    def match(state, pos, step):
+        """The plug bracket-matched to the one at pos, searching rightward
+        (step +1) from an opening plug or leftward (step -1) from a closing one."""
+        opening, depth = 1 if step > 0 else 2, 0
+        for t in range(pos + step, width if step > 0 else -1, step):
+            if state[t] & 3 == opening:
                 depth += 1
-            elif state[t] & 3 == 2:
-                if depth == 0:
-                    return t
-                depth -= 1
-        raise AssertionError("unbalanced profile")
-
-    def match_left(state, pos):
-        depth = 0
-        for t in range(pos - 1, -1, -1):
-            if state[t] & 3 == 2:
-                depth += 1
-            elif state[t] & 3 == 1:
+            elif state[t] & 3 == 3 - opening:
                 if depth == 0:
                     return t
                 depth -= 1
@@ -94,11 +85,11 @@ def _loop_count(n: int, odd_runs: bool) -> int:
                         if all(v == 0 for v in base):
                             total += ways
                     elif left == 1 and up == 1:
-                        k = match_right(state, j + 1)
+                        k = match(state, j + 1, 1)
                         base[k] ^= 3
                         put(tuple(base), ways)
                     elif left == 2 and up == 2:
-                        k = match_left(state, j)
+                        k = match(state, j, -1)
                         base[k] ^= 3
                         put(tuple(base), ways)
                     else:  # left == 2, up == 1: paths concatenate

@@ -69,24 +69,20 @@ class _Canvas:
 def _strand_window(pts: np.ndarray, center_idx: int, halfwidth: float):
     """Polyline piece within +-halfwidth of arclength around a sample index."""
     n = len(pts)
-    out = [pts[center_idx]]
-    dist = 0.0
-    i = center_idx
-    while dist < halfwidth:
-        j = (i + 1) % n
-        dist += float(np.hypot(*(pts[j] - pts[i])))
-        out.append(pts[j])
-        i = j
-    fwd = out
-    out = [pts[center_idx]]
-    dist = 0.0
-    i = center_idx
-    while dist < halfwidth:
-        j = (i - 1) % n
-        dist += float(np.hypot(*(pts[j] - pts[i])))
-        out.append(pts[j])
-        i = j
-    return np.vstack([np.array(out[::-1]), np.array(fwd[1:])])
+
+    def walk(step):
+        """The samples from center_idx on, `step` at a time, until halfwidth is passed."""
+        out = [pts[center_idx]]
+        dist = 0.0
+        i = center_idx
+        while dist < halfwidth:
+            j = (i + step) % n
+            dist += float(np.hypot(*(pts[j] - pts[i])))
+            out.append(pts[j])
+            i = j
+        return out
+
+    return np.vstack([np.array(walk(-1)[::-1]), np.array(walk(1)[1:])])
 
 
 def curve_svg(c: ClosedCurve, spec: RenderSpec = RenderSpec()) -> str:

@@ -88,19 +88,15 @@ def _cross(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def cycle_vertex_ids(d, cy, n: int) -> np.ndarray:
-    """Vertices of a cycle polyline: k for curve sample k, n + c for crossing c."""
-    if d.n_crossings == 0:
-        return np.arange(n)
+def cycle_vertex_ids(d, cy) -> np.ndarray:
+    """Vertices of a cycle polyline: k for curve sample k, n + c for crossing c.
+    Each edge is its slice of the graph's walk, without its last vertex
+    in the direction the cycle runs."""
+    walk, starts = d.graph.walk, d.graph.starts
     ids = []
     for eid, fwd in zip(cy.edge_ids, cy.orientations):
-        e = d.graph.edges[eid]
-        if fwd:
-            ids.append(n + e.end0[0])
-            ids.extend(e.interior_indices)
-        else:
-            ids.append(n + e.end1[0])
-            ids.extend(reversed(e.interior_indices))
+        run = walk[starts[eid] : starts[eid + 1] + 1].tolist()
+        ids.extend(run[:-1] if fwd else run[:0:-1])
     return np.array(ids)
 
 
@@ -132,7 +128,7 @@ def per_cycle_resistance_gradient(g, d, bd):
     verts = np.vstack([pts, a + t[:, None] * d1])
     cot = np.zeros_like(verts)
     for cy in bd.cycles:
-        ids = cycle_vertex_ids(d, cy, n)
+        ids = cycle_vertex_ids(d, cy)
         poly = verts[ids]
         s = signed_area(poly)
         if not abs(s) > 1e-12:
@@ -312,7 +308,7 @@ def enumerate_cycles_graph_oracle(
     darts = [[] for _ in range(g.n_crossings)]
     for c, slots in enumerate(g.slot_edge):
         for s_out, eid in slots.items():
-            e0, e1, _, _ = g.edges[eid]
+            e0, e1, _ = g.edges[eid]
             if eid in allowed and e0 is not None and e1 is not None:
                 fwd = (c, s_out) == e0
                 darts[c].append((s_out, eid, fwd, e1 if fwd else e0))
@@ -342,7 +338,7 @@ def enumerate_cycles_graph_oracle(
             )
 
     for anchor in sorted(allowed):
-        end0, end1, _, _ = g.edges[anchor]
+        end0, end1, _ = g.edges[anchor]
         if end0 is None or end1 is None:
             continue
         c_home, s_home = end0
@@ -440,11 +436,15 @@ def build_edges_oracle(pts, passage_params, passage_crossing, crossings) -> Diag
     """The map of the curve with every first passage over: the edge after
     passage j runs from the out slot of its strand to the in slot of
     passage j + 1's strand, and strand 0 is a crossing's first passage.
-    The rotation bits come from the angle sort of `rotations_oracle`."""
+    The walk runs through each edge's start crossing and interior samples
+    in turn, or through every sample if there is no crossing, and closes
+    on its first vertex.  The rotation bits come from the angle sort of
+    `rotations_oracle`."""
     n = len(pts)
     h = TWO_PI / n
     m = len(passage_params)
     g = DiagramGraph(len(crossings), [0] * len(crossings), [])
+    walk, starts = ([], []) if m else (list(range(n)), [0])
     in_slot = [0 if crossings[ci].passages[0] == j else 2 for j, ci in enumerate(passage_crossing)]
     for j in range(m):
         t0 = passage_params[j]
@@ -464,8 +464,10 @@ def build_edges_oracle(pts, passage_params, passage_crossing, crossings) -> Diag
             keep[1:-1] = (np.hypot(*(poly[1:-1] - poly[0]).T) > 1e-12) & (
                 np.hypot(*(poly[1:-1] - poly[-1]).T) > 1e-12
             )
-        interior = tuple((ks[keep[1:-1]] % n).tolist())
-        g.add_edge((c0, in_slot[j] + 1), (c1, in_slot[(j + 1) % m]), poly[keep], interior)
+        starts.append(len(walk))
+        walk += [n + c0, *(ks[keep[1:-1]] % n).tolist()]
+        g.add_edge((c0, in_slot[j] + 1), (c1, in_slot[(j + 1) % m]), poly[keep])
+    g.walk, g.starts = np.array(walk + walk[:1]), starts + [len(walk)]
     # strand 1 leaves to the left of strand 0 when slot 3 follows slot 1
     # counter-clockwise
     g.left = [rot[(rot.index(1) + 1) % 4] == 3 for rot in rotations_oracle(g)]
@@ -478,7 +480,7 @@ def rotations_oracle(g: DiagramGraph):
     for c in range(g.n_crossings):
         entries = []
         for s, eid in g.slot_edge[c].items():
-            e0, e1, pts, _ = g.edges[eid]
+            e0, e1, pts = g.edges[eid]
             if e0 == (c, s):
                 v = pts[1] - pts[0]
             else:
@@ -509,13 +511,13 @@ def walk_faces_oracle(g: DiagramGraph) -> tuple:
             walk.append(dart)
             remaining.discard(dart)
             eid, fwd = dart
-            e0, e1, _, _ = g.edges[eid]
+            e0, e1, _ = g.edges[eid]
             c, s_in = e1 if fwd else e0
             order = rot[c]
             k = order.index(s_in)
             s_out = order[(k - 1) % len(order)]
             nid = g.slot_edge[c][s_out]
-            n0, _, _, _ = g.edges[nid]
+            n0, _, _ = g.edges[nid]
             dart = (nid, (c, s_out) == n0)
             if dart == start:
                 break

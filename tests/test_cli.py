@@ -308,6 +308,18 @@ class TestRelaxCmd:
         assert main(["relax", str(curve_path), str(cfg_path), str(tmp_path / "run")]) == 0
         assert capsys.readouterr().out.startswith("terminated: stalled after 1 iterations")
 
+    def test_cycle_limit_is_explosion(self, trefoil_json, tmp_path, capsys, monkeypatch):
+        """A census past the cycle limit ends relax with exit 4, as it ends
+        `flatknot energy`, not with a traceback."""
+        from flatknot import diagram
+
+        monkeypatch.setattr(diagram, "DEFAULT_CYCLE_LIMIT", 5)
+        cfg_path = tmp_path / "cfg.json"
+        dump_json({"resistance": "RE", "max_iters": 3}, cfg_path)
+        assert main(["relax", str(trefoil_json), str(cfg_path), str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(partial count " in err
+
 
 _CIRCLE16 = curve_to_json(circle_curve(16))["points"]
 _POINTS = "curve points must be a finite (N, 2) array with N >= 8, got shape"

@@ -170,9 +170,9 @@ def split_into_arcs(g, cy):
     path = list(zip(cy.edge_ids, cy.orientations))
     passes = []
     for k, (eid, fwd) in enumerate(path):
-        e0, e1, _, _ = g.edges[eid]
+        e0, e1, _ = g.edges[eid]
         nid, nfwd = path[(k + 1) % len(path)]
-        n0, n1, _, _ = g.edges[nid]
+        n0, n1, _ = g.edges[nid]
         arrive, depart = (e1 if fwd else e0), (n0 if nfwd else n1)
         assert arrive[0] == depart[0]
         passes.append((arrive[0], arrive[1], depart[1]))
@@ -279,7 +279,7 @@ class TestDetect:
         assert same.first_over == d.first_over
         for name in ("curve", "crossings", "passage_params", "passage_crossing", "crossing_segments"):
             assert getattr(same, name) is getattr(d, name)
-        for name in ("edges", "lobes", "left", "slot_edge"):
+        for name in ("edges", "lobes", "left", "slot_edge", "walk"):
             assert getattr(same.graph, name) is getattr(d.graph, name)
         assert same.graph is not d.graph
         assert same.graph.over_strand is not d.graph.over_strand
@@ -377,7 +377,9 @@ def detection_record(d):
         [tuple(seg) for seg in d.crossing_segments],
         list(d.graph.over_strand),
         list(d.graph.left),
-        [(e.end0, e.end1, f(e.points), e.interior_indices) for e in d.graph.edges],
+        [(e.end0, e.end1, f(e.points)) for e in d.graph.edges],
+        d.graph.walk.tolist(),
+        list(d.graph.starts),
     )
 
 
@@ -465,7 +467,7 @@ class TestDetectionMatchesOracle:
         detect, each line-search candidate against its parent: the same
         record, or error, as a detection without a parent and as the
         oracle.  Some candidate takes its parent's edge layout, sharing
-        the edges' interior samples, some builds its edge table anew
+        the parent's walk, some builds its edge table anew
         (`_build_edges`' fallback), and some rebuilds the pair list on
         its own samples."""
         reused = fresh_edges = rebuilt = 0
@@ -480,14 +482,30 @@ class TestDetectionMatchesOracle:
                     continue
                 if d.graph.slot_edge is parent.graph.slot_edge:
                     reused += 1
-                    assert all(e.interior_indices is f.interior_indices
-                               for e, f in zip(d.graph.edges, parent.graph.edges, strict=True))
+                    assert d.graph.walk is parent.graph.walk and d.graph.starts is parent.graph.starts
                 elif d.n_crossings:
                     fresh_edges += 1
                 if d.near is not parent.near:
                     rebuilt += 1
                     assert d.near.points is c.points
         assert min(reused, fresh_edges, rebuilt) > 0
+
+    def test_first_passage_is_first_occurrence(self, census_pools, monkeypatch):
+        """Crossings are numbered in order of first passage, so passage p is
+        its crossing's first exactly when `passage_crossing[p]` does not
+        occur before p: the owner sequence alone fixes the first passages,
+        which is why `_Layout` and `same_map` need no first-passage flags.
+        Checked on the census pools, the random immersed curves and every
+        diagram the benchmark flows at seed 1 and the event flows detect."""
+        diagrams = list(census_pools) + [d for _, d in random_immersed_curves(300, seed=41, n=256)]
+        for name in FLOWS:
+            if not name.endswith("-2"):
+                diagrams += [d for _, _, _, d in flow_detections(name, monkeypatch) if d is not None]
+        assert sum(d.n_crossings > 0 for d in diagrams) > 300
+        for d in diagrams:
+            owner = d.passage_crossing
+            flags = [d.crossings[x].passages[0] == p for p, x in enumerate(owner)]
+            assert flags == [x not in owner[:p] for p, x in enumerate(owner)]
 
     def test_within_half_the_skin(self):
         """A curve moved by less than half the skin keeps its parent's pair
@@ -766,7 +784,7 @@ class TestAreas:
         d = trefoil_diagram
         verts = np.vstack([d.curve.points, [cr.position for cr in d.crossings]])
         for cy in enumerate_cycles(d):
-            assert cy.polyline.tobytes() == verts[cycle_vertex_ids(d, cy, d.curve.n)].tobytes()
+            assert cy.polyline.tobytes() == verts[cycle_vertex_ids(d, cy)].tobytes()
 
 
 class TestSharedCensus:
